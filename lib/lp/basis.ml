@@ -35,23 +35,28 @@ type op =
       (* appended row [bd]; [bc] is the new row over basis positions < bd *)
 
 type t = {
-  mutable lu : Lu.t;
-  mutable trail : op list;  (* newest first *)
+  lu : Lu.t;
+  mutable trail : op array;  (* oldest first; [len] live entries *)
+  mutable len : int;
   mutable count : int;  (* etas in the trail *)
   mutable extra : int;  (* borders in the trail *)
   mutable tnnz : int;  (* nonzeros stored across the trail *)
+  nz : int array;  (* nonzero list of an LU-prefix right-hand side *)
   ops : counters;
 }
 
 let create ?counters ?pivot_tol cols =
   let ops = match counters with Some c -> c | None -> fresh_counters () in
   ops.factorisations <- ops.factorisations + 1;
+  let lu = Lu.factor ?pivot_tol cols in
   {
-    lu = Lu.factor ?pivot_tol cols;
-    trail = [];
+    lu;
+    trail = [||];
+    len = 0;
     count = 0;
     extra = 0;
     tnnz = 0;
+    nz = Array.make (Lu.dim lu) 0;
     ops;
   }
 
@@ -62,6 +67,15 @@ let eta_count t = t.count
 let trail_nnz t = t.tnnz
 
 let lu_nnz t = Lu.nnz t.lu
+
+let push_op t op =
+  if t.len = Array.length t.trail then begin
+    let grown = Array.make (max 8 (2 * t.len)) op in
+    Array.blit t.trail 0 grown 0 t.len;
+    t.trail <- grown
+  end;
+  t.trail.(t.len) <- op;
+  t.len <- t.len + 1
 
 (* A right-hand side whose LU-prefix has [k] nonzeros takes the
    hyper-sparse triangular kernels below this density; unit vectors
@@ -99,114 +113,102 @@ let apply_adjoint v op =
       v.(b.bd) <- -.vd;
       if vd <> 0.0 then Sparse.add_scaled_into v vd b.bc
 
-(* Extend an LU-dimension solution to full dimension, filling the border
-   tail from [tail_of]. *)
-let widen t sol tail_of =
-  let n = Lu.dim t.lu in
-  let d = n + t.extra in
-  if d = n then sol
-  else begin
-    let full = Array.make d 0.0 in
-    Array.blit sol 0 full 0 n;
-    for i = n to d - 1 do
-      full.(i) <- tail_of i
-    done;
-    full
-  end
-
-let lu_prefix_nnz t b =
-  let n = Lu.dim t.lu in
+(* Lists the nonzeros of [v]'s LU prefix in [t.nz]; returns their count. *)
+let prefix_nonzeros t v =
   let k = ref 0 in
-  for i = 0 to n - 1 do
-    if b.(i) <> 0.0 then incr k
+  for i = 0 to Lu.dim t.lu - 1 do
+    if v.(i) <> 0.0 then begin
+      t.nz.(!k) <- i;
+      incr k
+    end
   done;
   !k
 
-let gather_prefix t b =
-  let n = Lu.dim t.lu in
-  let pairs = ref [] in
-  for i = n - 1 downto 0 do
-    if b.(i) <> 0.0 then pairs := (i, b.(i)) :: !pairs
-  done;
-  Sparse.of_assoc !pairs
-
-let lu_ftran t b =
-  let n = Lu.dim t.lu in
-  let k = lu_prefix_nnz t b in
-  if hyper_ok n k then begin
+(* In-place LU solve of [v]'s prefix whose nonzeros [prefix_nonzeros]
+   (or the caller) listed in [t.nz.(0 .. k-1)]. *)
+let lu_ftran t v k =
+  if hyper_ok (Lu.dim t.lu) k then begin
     t.ops.hyper_ftrans <- t.ops.hyper_ftrans + 1;
-    Lu.solve_sparse t.lu (gather_prefix t b)
+    Lu.solve_sparse t.lu v t.nz k v
   end
-  else Lu.solve t.lu (if t.extra = 0 then b else Array.sub b 0 n)
+  else Lu.solve t.lu v v
 
-let ftran t b =
+let trail_forward t x =
+  for i = 0 to t.len - 1 do
+    apply_forward x t.trail.(i)
+  done
+
+(* The LU solve leaves the border tail of [v] as it was: the inner
+   (block-diagonal) operator is the identity there. *)
+let ftran t v =
   t.ops.ftrans <- t.ops.ftrans + 1;
-  let v = widen t (lu_ftran t b) (fun i -> b.(i)) in
-  List.iter (apply_forward v) (List.rev t.trail);
-  v
+  lu_ftran t v (prefix_nonzeros t v);
+  trail_forward t v
 
-let ftran_sparse t sp =
+let ftran_sparse t sp x =
   t.ops.ftrans <- t.ops.ftrans + 1;
   let n = Lu.dim t.lu in
-  let head = ref [] and tail = ref [] in
-  Sparse.iter
-    (fun i v -> if i < n then head := (i, v) :: !head else tail := (i, v) :: !tail)
-    sp;
-  let k = List.length !head in
-  let sol =
-    if hyper_ok n k then begin
-      t.ops.hyper_ftrans <- t.ops.hyper_ftrans + 1;
-      Lu.solve_sparse t.lu (Sparse.of_assoc !head)
-    end
-    else begin
-      let b = Array.make n 0.0 in
-      List.iter (fun (i, x) -> b.(i) <- x) !head;
-      Lu.solve t.lu b
-    end
+  Array.fill x n t.extra 0.0;
+  let nz = t.nz in
+  let k =
+    Sparse.fold
+      (fun i v k ->
+        x.(i) <- v;
+        if i < n then begin
+          nz.(k) <- i;
+          k + 1
+        end
+        else k)
+      sp 0
   in
-  let v = widen t sol (fun _ -> 0.0) in
-  List.iter (fun (i, x) -> v.(i) <- x) !tail;
-  List.iter (apply_forward v) (List.rev t.trail);
-  v
+  (* the dense kernel reads the whole prefix: clear it around the head *)
+  if not (hyper_ok n k) then begin
+    Array.fill x 0 n 0.0;
+    Sparse.iter (fun i v -> if i < n then x.(i) <- v) sp
+  end;
+  lu_ftran t x k;
+  trail_forward t x
 
-let btran t c =
+(* Adjoints newest first, then the transposed LU solve of the prefix; the
+   sparsity decision happens after the trail (it can fill in or cancel
+   entries). *)
+let btran t v =
   t.ops.btrans <- t.ops.btrans + 1;
-  let v = Array.copy c in
-  (* adjoints newest first *)
-  List.iter (apply_adjoint v) t.trail;
-  let n = Lu.dim t.lu in
-  let k = lu_prefix_nnz t v in
-  let sol =
-    if hyper_ok n k then begin
-      t.ops.hyper_btrans <- t.ops.hyper_btrans + 1;
-      Lu.solve_transpose_sparse t.lu (gather_prefix t v)
-    end
-    else Lu.solve_transpose t.lu (if t.extra = 0 then v else Array.sub v 0 n)
-  in
-  widen t sol (fun i -> v.(i))
+  for i = t.len - 1 downto 0 do
+    apply_adjoint v t.trail.(i)
+  done;
+  let k = prefix_nonzeros t v in
+  if hyper_ok (Lu.dim t.lu) k then begin
+    t.ops.hyper_btrans <- t.ops.hyper_btrans + 1;
+    Lu.solve_transpose_sparse t.lu v t.nz k v
+  end
+  else Lu.solve_transpose t.lu v v
 
-let btran_unit t r =
-  let c = Array.make (dim t) 0.0 in
-  c.(r) <- 1.0;
-  btran t c
+let btran_unit t r x =
+  Array.fill x 0 (dim t) 0.0;
+  x.(r) <- 1.0;
+  btran t x
 
 let update ?(tol = 1e-12) t r w =
   if abs_float w.(r) < tol then
     raise (Zero_pivot { row = r; magnitude = abs_float w.(r) });
   t.ops.updates <- t.ops.updates + 1;
+  let d = dim t in
   let nz = ref 0 in
-  Array.iteri (fun i x -> if i <> r && x <> 0.0 then incr nz) w;
+  for i = 0 to d - 1 do
+    if i <> r && w.(i) <> 0.0 then incr nz
+  done;
   let nz_idx = Array.make !nz 0 and nz_val = Array.make !nz 0.0 in
   let p = ref 0 in
-  Array.iteri
-    (fun i x ->
-      if i <> r && x <> 0.0 then begin
-        nz_idx.(!p) <- i;
-        nz_val.(!p) <- x;
-        incr p
-      end)
-    w;
-  t.trail <- Eta { r; wr = w.(r); nz_idx; nz_val } :: t.trail;
+  for i = 0 to d - 1 do
+    let x = w.(i) in
+    if i <> r && x <> 0.0 then begin
+      nz_idx.(!p) <- i;
+      nz_val.(!p) <- x;
+      incr p
+    end
+  done;
+  push_op t (Eta { r; wr = w.(r); nz_idx; nz_val });
   t.count <- t.count + 1;
   t.tnnz <- t.tnnz + !nz + 1
 
@@ -214,6 +216,6 @@ let append_row t bc =
   if Sparse.max_index bc >= dim t then
     invalid_arg "Basis.append_row: row index out of range";
   t.ops.extensions <- t.ops.extensions + 1;
-  t.trail <- Border { bd = dim t; bc } :: t.trail;
+  push_op t (Border { bd = dim t; bc });
   t.extra <- t.extra + 1;
   t.tnnz <- t.tnnz + Sparse.nnz bc + 1

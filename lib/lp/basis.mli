@@ -10,7 +10,11 @@
     {!Lu} instead of the dense triangular solves; the counters record how
     often that happens. The simplex engine can run on either backend
     ({!Simplex.params}[.sparse_basis]); results agree to numerical
-    tolerance. *)
+    tolerance.
+
+    A [t] shares the not-reentrant workspace of its {!Lu.t}: the solves
+    below write into caller-supplied arrays and allocate nothing, so one
+    [t] must serve one solve at a time. *)
 
 type counters = {
   mutable ftrans : int;
@@ -64,27 +68,29 @@ val trail_nnz : t -> int
 val lu_nnz : t -> int
 (** Nonzeros of the underlying LU factors. *)
 
-val ftran : t -> float array -> float array
-(** [ftran t b] is [B^-1 b]; [b] is unchanged. Dispatches to the
-    hyper-sparse kernel when [b]'s LU prefix is sparse enough. *)
+val ftran : t -> float array -> unit
+(** [ftran t v] replaces [v.(0 .. dim-1)] by [B^-1 v]. Dispatches to the
+    hyper-sparse kernel when [v]'s LU prefix is sparse enough. Allocates
+    nothing. *)
 
-val ftran_sparse : t -> Sparse.t -> float array
-(** [ftran_sparse t b] is [B^-1 b] for a right-hand side given by its
-    nonzeros; the result is dense. Same dispatch rule as {!ftran}, but
-    avoids densifying the input first. *)
+val ftran_sparse : t -> Sparse.t -> float array -> unit
+(** [ftran_sparse t b x] writes [B^-1 b] into [x] for a right-hand side
+    given by its nonzeros. Same dispatch rule as {!ftran}, but skips the
+    dense scan for the nonzeros. *)
 
-val btran : t -> float array -> float array
-(** [btran t c] is [B^-T c]. The sparsity decision happens after the
-    adjoint trail has been applied (the trail can fill in or cancel
-    entries). *)
+val btran : t -> float array -> unit
+(** [btran t v] replaces [v.(0 .. dim-1)] by [B^-T v]. The sparsity
+    decision happens after the adjoint trail has been applied (the trail
+    can fill in or cancel entries). *)
 
-val btran_unit : t -> int -> float array
-(** [btran_unit t r] is row [r] of [B^-1]. *)
+val btran_unit : t -> int -> float array -> unit
+(** [btran_unit t r x] writes row [r] of [B^-1] into [x]. *)
 
 val update : ?tol:float -> t -> int -> float array -> unit
 (** [update t r w] records a pivot: the basic variable at position [r] is
-    replaced; [w] must be the ftran of the entering column (its nonzeros
-    are copied into a sparse eta). [tol] is the smallest acceptable pivot
+    replaced; [w] must be the ftran of the entering column (the nonzeros
+    of [w.(0 .. dim-1)] are copied into a sparse eta, so [w] may be a
+    longer scratch array). [tol] is the smallest acceptable pivot
     magnitude (default [1e-12]; the simplex engine passes its current —
     possibly escalated — pivot tolerance).
     @raise Zero_pivot if [w.(r)] is (numerically) zero. *)

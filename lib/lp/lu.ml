@@ -26,6 +26,19 @@ type t = {
      reuse the forward storage. *)
   u_radj : int array array;
   l_radj : int array array;
+  (* [l_padj.(k)]: the pivot positions of [l_rows.(k)], the successors of
+     [k] in the forward L pass *)
+  l_padj : int array array;
+  (* solve workspace, allocated once per factorisation so the solves
+     allocate nothing: [wk] is all-zero between calls; [mark] holds the
+     stamp of the reach that last visited a position, so starting a new
+     reach is one increment instead of a clear *)
+  wk : float array;
+  mark : int array;
+  mutable stamp : int;
+  stack : int array;
+  reach_a : int array;
+  reach_b : int array;
 }
 
 exception Singular of int
@@ -124,7 +137,26 @@ let factor ?(pivot_tol = 1e-11) cols =
         fl.(p) <- fl.(p) + 1)
       l_rows.(j)
   done;
-  { n; l_rows; l_vals; u_rows; u_vals; u_diag; prow; pos; u_radj; l_radj }
+  let l_padj = Array.map (Array.map (fun i -> pos.(i))) l_rows in
+  {
+    n;
+    l_rows;
+    l_vals;
+    u_rows;
+    u_vals;
+    u_diag;
+    prow;
+    pos;
+    u_radj;
+    l_radj;
+    l_padj;
+    wk = x;  (* all-zero again after the last column *)
+    mark = Array.make n 0;
+    stamp = 0;
+    stack = touched;
+    reach_a = Array.make n 0;
+    reach_b = Array.make n 0;
+  }
 
 let dim t = t.n
 
@@ -135,10 +167,12 @@ let nnz t =
   done;
   !acc
 
-(* A x = b:  L y = P b (forward, over original rows), then U x = y. *)
-let solve t b =
+(* A x = b:  L y = P b (forward, over original rows), then U x = y.
+   [b] is copied into the workspace first, so [x] may alias it. *)
+let solve t b x =
   let n = t.n in
-  let w = Array.copy b in
+  let w = t.wk in
+  Array.blit b 0 w 0 n;
   (* forward: after step k, w.(prow k) holds y_k *)
   for k = 0 to n - 1 do
     let yk = w.(t.prow.(k)) in
@@ -150,10 +184,10 @@ let solve t b =
     end
   done;
   (* gather y by pivot position *)
-  let x = Array.make n 0.0 in
   for k = 0 to n - 1 do
     x.(k) <- w.(t.prow.(k))
   done;
+  Array.fill w 0 n 0.0;
   (* backward: U x = y, U stored by column *)
   for j = n - 1 downto 0 do
     let xj = x.(j) /. t.u_diag.(j) in
@@ -164,14 +198,14 @@ let solve t b =
         x.(rows.(i)) <- x.(rows.(i)) -. (vals.(i) *. xj)
       done
     end
-  done;
-  x
+  done
 
 (* A^T x = c:  U^T w = c (forward over positions), then L^T v = w, then
-   scatter x.(prow k) = v_k. *)
-let solve_transpose t c =
+   scatter x.(prow k) = v_k. [x] may alias [c]. *)
+let solve_transpose t c x =
   let n = t.n in
-  let w = Array.copy c in
+  let w = t.wk in
+  Array.blit c 0 w 0 n;
   (* U^T is lower triangular in position space: w_j = (c_j - sum_{k<j}
      U[k,j] w_k) / U[j,j]; iterate columns left to right *)
   for j = 0 to n - 1 do
@@ -183,8 +217,8 @@ let solve_transpose t c =
     w.(j) <- !acc /. t.u_diag.(j)
   done;
   (* L^T v = w: v_k = w_k - sum over L column k entries (original row i):
-     L[i,k] * v_(pos i); backward since pos i > k always *)
-  let x = Array.make n 0.0 in
+     L[i,k] * v_(pos i); backward since pos i > k always, so every x read
+     was written earlier in this pass *)
   for k = n - 1 downto 0 do
     let rows = t.l_rows.(k) and vals = t.l_vals.(k) in
     let acc = ref w.(k) in
@@ -194,77 +228,148 @@ let solve_transpose t c =
     (* scatter immediately into original-row indexing *)
     x.(t.prow.(k)) <- !acc
   done;
-  x
+  Array.fill w 0 n 0.0
 
 let inverse_column t j =
   let b = Array.make t.n 0.0 in
   b.(j) <- 1.0;
-  solve t b
+  solve t b b;
+  b
 
 (* ---- hyper-sparse solves (Gilbert-Peierls symbolic reach) ----
 
    All four triangular passes have dependency edges that are monotone in
    pivot position (L spreads forward, U spreads backward, and vice versa
    for the transposes), so the reach set sorted by position is already a
-   topological order: no postorder bookkeeping is needed. Values outside
-   the reach set are exact zeros, so the numeric passes only touch reach
-   nodes. *)
+   topological order: no postorder bookkeeping is needed. Processing the
+   reach in position order also performs the floating-point operations in
+   exactly the order of the dense solves, so both give bit-identical
+   results. Values outside the reach set are exact zeros, so the numeric
+   passes only touch reach nodes. *)
 
-(* Nodes reachable from [seeds] following [succ]; sorted ascending. *)
-let reach succ seeds =
-  let marked = Hashtbl.create 16 in
-  let out = ref [] in
-  let count = ref 0 in
-  let stack = Stack.create () in
-  let push k =
-    if not (Hashtbl.mem marked k) then begin
-      Hashtbl.add marked k ();
-      Stack.push k stack
+(* In-place ascending sort of a.(lo..hi), specialised to ints: insertion
+   sort for short runs, median-of-three quicksort above (recursing into
+   the shorter side, so the stack stays logarithmic). *)
+let rec sort_ints a lo hi =
+  if hi - lo < 16 then
+    for i = lo + 1 to hi do
+      let v = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= lo && a.(!j) > v do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- v
+    done
+  else begin
+    let mid = lo + ((hi - lo) / 2) in
+    let swap i j =
+      let v = a.(i) in
+      a.(i) <- a.(j);
+      a.(j) <- v
+    in
+    if a.(mid) < a.(lo) then swap mid lo;
+    if a.(hi) < a.(lo) then swap hi lo;
+    if a.(hi) < a.(mid) then swap hi mid;
+    let p = a.(mid) in
+    let i = ref lo and j = ref hi in
+    while !i <= !j do
+      while a.(!i) < p do incr i done;
+      while a.(!j) > p do decr j done;
+      if !i <= !j then begin
+        swap !i !j;
+        incr i;
+        decr j
+      end
+    done;
+    if !j - lo < hi - !i then begin
+      sort_ints a lo !j;
+      sort_ints a !i hi
     end
-  in
-  List.iter push seeds;
-  while not (Stack.is_empty stack) do
-    let k = Stack.pop stack in
-    out := k :: !out;
-    incr count;
-    succ k push
-  done;
-  let arr = Array.make !count 0 in
-  List.iteri (fun i k -> arr.(i) <- k) !out;
-  Array.sort compare arr;
-  arr
+    else begin
+      sort_ints a !i hi;
+      sort_ints a lo !j
+    end
+  end
 
-(* Sparse-RHS [A x = b]: [b] gives the nonzero ORIGINAL rows; the result
-   is dense (the caller typically keeps applying eta updates to it). *)
-let solve_sparse t b =
-  let n = t.n in
-  let w = Array.make n 0.0 in
-  let seeds =
-    Sparse.fold
-      (fun i v acc ->
-        w.(i) <- v;
-        t.pos.(i) :: acc)
-      b []
-  in
+(* Positions reachable through [adj] from the [nseeds] seeds in [seeds]
+   (original rows mapped through [pos] when [rows], else positions),
+   written ascending into [out]; returns their count. Nodes are marked
+   with a fresh stamp, so no per-call clearing is needed. A large reach
+   is emitted by a linear sweep over the stamps instead of a sort. *)
+let reach t adj ~rows seeds nseeds out =
+  t.stamp <- t.stamp + 1;
+  let stamp = t.stamp and mark = t.mark and stack = t.stack in
+  let sp = ref 0 in
+  for s = 0 to nseeds - 1 do
+    let k = if rows then t.pos.(seeds.(s)) else seeds.(s) in
+    if mark.(k) <> stamp then begin
+      mark.(k) <- stamp;
+      stack.(!sp) <- k;
+      incr sp
+    end
+  done;
+  let count = ref 0 in
+  while !sp > 0 do
+    decr sp;
+    let k = stack.(!sp) in
+    out.(!count) <- k;
+    incr count;
+    let succ = adj.(k) in
+    for e = 0 to Array.length succ - 1 do
+      let s = succ.(e) in
+      if mark.(s) <> stamp then begin
+        mark.(s) <- stamp;
+        stack.(!sp) <- s;
+        incr sp
+      end
+    done
+  done;
+  let count = !count in
+  if count > t.n / 8 then begin
+    let c = ref 0 in
+    for k = 0 to t.n - 1 do
+      if mark.(k) = stamp then begin
+        out.(!c) <- k;
+        incr c
+      end
+    done
+  end
+  else sort_ints out 0 (count - 1);
+  count
+
+(* Sparse-RHS [A x = b]: [b] is read only at the [nb] original rows
+   listed in [bi]; the result is dense. *)
+let solve_sparse t b bi nb x =
+  let w = t.wk in
   (* forward L pass: position k spreads to pos of its L-column rows *)
-  let fwd =
-    reach (fun k f -> Array.iter (fun i -> f t.pos.(i)) t.l_rows.(k)) seeds
-  in
-  Array.iter
-    (fun k ->
-      let yk = w.(t.prow.(k)) in
-      if yk <> 0.0 then begin
-        let rows = t.l_rows.(k) and vals = t.l_vals.(k) in
-        for i = 0 to Array.length rows - 1 do
-          w.(rows.(i)) <- w.(rows.(i)) -. (vals.(i) *. yk)
-        done
-      end)
-    fwd;
-  let x = Array.make n 0.0 in
-  Array.iter (fun k -> x.(k) <- w.(t.prow.(k))) fwd;
+  let fwd = t.reach_a in
+  let nf = reach t t.l_padj ~rows:true bi nb fwd in
+  for s = 0 to nb - 1 do
+    let i = bi.(s) in
+    w.(i) <- b.(i)
+  done;
+  for idx = 0 to nf - 1 do
+    let k = fwd.(idx) in
+    let yk = w.(t.prow.(k)) in
+    if yk <> 0.0 then begin
+      let rows = t.l_rows.(k) and vals = t.l_vals.(k) in
+      for i = 0 to Array.length rows - 1 do
+        w.(rows.(i)) <- w.(rows.(i)) -. (vals.(i) *. yk)
+      done
+    end
+  done;
+  Array.fill x 0 t.n 0.0;
+  for idx = 0 to nf - 1 do
+    let k = fwd.(idx) in
+    let r = t.prow.(k) in
+    x.(k) <- w.(r);
+    w.(r) <- 0.0
+  done;
   (* backward U pass: position j spreads to its above-diagonal rows *)
-  let bwd = reach (fun j f -> Array.iter f t.u_rows.(j)) (Array.to_list fwd) in
-  for idx = Array.length bwd - 1 downto 0 do
+  let bwd = t.reach_b in
+  let nbw = reach t t.u_rows ~rows:false fwd nf bwd in
+  for idx = nbw - 1 downto 0 do
     let j = bwd.(idx) in
     let xj = x.(j) /. t.u_diag.(j) in
     x.(j) <- xj;
@@ -274,36 +379,34 @@ let solve_sparse t b =
         x.(rows.(i)) <- x.(rows.(i)) -. (vals.(i) *. xj)
       done
     end
-  done;
-  x
+  done
 
-(* Sparse-RHS [A^T x = c]: [c] gives the nonzero pivot positions; dense
-   result indexed by original rows, exactly like {!solve_transpose}. *)
-let solve_transpose_sparse t c =
-  let n = t.n in
-  let w = Array.make n 0.0 in
-  let seeds =
-    Sparse.fold
-      (fun j v acc ->
-        w.(j) <- v;
-        j :: acc)
-      c []
-  in
+(* Sparse-RHS [A^T x = c]: [c] is read only at the [nc] pivot positions
+   listed in [ci]; dense result indexed by original rows, exactly like
+   {!solve_transpose}. *)
+let solve_transpose_sparse t c ci nc x =
+  let w = t.wk in
   (* U^T pass, ascending: nonzero at k spreads to u_radj.(k) *)
-  let up = reach (fun k f -> Array.iter f t.u_radj.(k)) seeds in
-  Array.iter
-    (fun j ->
-      let rows = t.u_rows.(j) and vals = t.u_vals.(j) in
-      let acc = ref w.(j) in
-      for i = 0 to Array.length rows - 1 do
-        acc := !acc -. (vals.(i) *. w.(rows.(i)))
-      done;
-      w.(j) <- !acc /. t.u_diag.(j))
-    up;
+  let up = t.reach_a in
+  let nu = reach t t.u_radj ~rows:false ci nc up in
+  for s = 0 to nc - 1 do
+    let j = ci.(s) in
+    w.(j) <- c.(j)
+  done;
+  for idx = 0 to nu - 1 do
+    let j = up.(idx) in
+    let rows = t.u_rows.(j) and vals = t.u_vals.(j) in
+    let acc = ref w.(j) in
+    for i = 0 to Array.length rows - 1 do
+      acc := !acc -. (vals.(i) *. w.(rows.(i)))
+    done;
+    w.(j) <- !acc /. t.u_diag.(j)
+  done;
   (* L^T pass, descending: nonzero at p spreads to l_radj.(p) *)
-  let lp = reach (fun p f -> Array.iter f t.l_radj.(p)) (Array.to_list up) in
-  let x = Array.make n 0.0 in
-  for idx = Array.length lp - 1 downto 0 do
+  let lp = t.reach_b in
+  let nl = reach t t.l_radj ~rows:false up nu lp in
+  Array.fill x 0 t.n 0.0;
+  for idx = nl - 1 downto 0 do
     let k = lp.(idx) in
     let rows = t.l_rows.(k) and vals = t.l_vals.(k) in
     let acc = ref w.(k) in
@@ -312,4 +415,6 @@ let solve_transpose_sparse t c =
     done;
     x.(t.prow.(k)) <- !acc
   done;
-  x
+  for idx = 0 to nu - 1 do
+    w.(up.(idx)) <- 0.0
+  done

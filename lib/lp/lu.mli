@@ -6,7 +6,14 @@
     ftran ([A x = b]), btran ([A^T x = c]), and their dense-input
     variants. Basis matrices of EBF programs are extremely sparse (path
     incidence structure), so factorisation and solves run in roughly
-    O(nnz) instead of the dense O(n^3)/O(n^2). *)
+    O(nnz) instead of the dense O(n^3)/O(n^2).
+
+    {b Not reentrant.} A factorisation owns the workspace its solves run
+    in (a dense scratch column, the reach stamps and stacks), allocated
+    once by {!factor} so that every solve but {!inverse_column} allocates
+    nothing. Two
+    solves on the same [t] must therefore never run at the same time;
+    distinct factorisations are independent. *)
 
 type t
 
@@ -24,28 +31,31 @@ val dim : t -> int
 val nnz : t -> int
 (** Fill-in diagnostic: stored nonzeros of [L] and [U]. *)
 
-val solve : t -> float array -> float array
-(** [solve t b] returns [x] with [A x = b]; [b] is indexed by rows, [x]
-    by columns. [b] is not modified. *)
+val solve : t -> float array -> float array -> unit
+(** [solve t b x] writes [x] with [A x = b] into [x.(0 .. dim-1)]; [b]
+    is indexed by rows, [x] by columns. Only the first [dim] entries of
+    either array are touched, and [x] may be [b] itself. *)
 
-val solve_transpose : t -> float array -> float array
-(** [solve_transpose t c] returns [x] with [A^T x = c]; [c] is indexed by
-    columns, [x] by rows. *)
+val solve_transpose : t -> float array -> float array -> unit
+(** [solve_transpose t c x] writes [x] with [A^T x = c]; [c] is indexed
+    by columns, [x] by rows. [x] may be [c] itself. *)
 
 val inverse_column : t -> int -> float array
 (** [inverse_column t j] is the [j]-th column of [A^-1] (a unit-vector
     solve). *)
 
-val solve_sparse : t -> Sparse.t -> float array
-(** Hyper-sparse variant of {!solve}: the right-hand side is given by its
-    nonzeros (indexed by rows) and only the symbolic reach of those
-    nonzeros through [L] and [U] is visited (Gilbert-Peierls). The dense
-    result equals [solve t (densified b)] exactly — entries outside the
-    reach are exact zeros, not truncations. Pays off when the reach is a
-    small fraction of the dimension, as with unit right-hand sides on the
-    path-structured EBF bases. *)
+val solve_sparse : t -> float array -> int array -> int -> float array -> unit
+(** Hyper-sparse variant of {!solve}: [solve_sparse t b bi nb x]
+    reads the right-hand side [b] only at the [nb] rows listed in
+    [bi.(0 .. nb-1)] (its nonzeros) and visits only the symbolic reach of
+    those rows through [L] and [U] (Gilbert-Peierls). The dense result in
+    [x] equals {!solve} on the same [b] bit for bit — entries outside
+    the reach are exact zeros, not truncations. [x] may be [b] itself.
+    Pays off when the reach is a small fraction of the dimension, as with
+    unit right-hand sides on the path-structured EBF bases. *)
 
-val solve_transpose_sparse : t -> Sparse.t -> float array
-(** Hyper-sparse variant of {!solve_transpose}; the right-hand side is
-    indexed by columns. Uses the reverse adjacency of [L]/[U] built at
-    factor time for the symbolic phase. *)
+val solve_transpose_sparse :
+  t -> float array -> int array -> int -> float array -> unit
+(** Hyper-sparse variant of {!solve_transpose}; [ci] lists the
+    nonzero columns of [c]. Uses the reverse adjacency of [L]/[U] built
+    at factor time for the symbolic phase. *)

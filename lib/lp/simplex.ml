@@ -219,11 +219,22 @@ type t = {
   mutable ncand : int;
   (* devex reference weights, length n+cap; reset to 1 on refactorisation *)
   mutable dvx : float array;
+  (* dual simplex reduced costs d_j = c_j - a_j^T y, length n+cap, kept
+     current for every non-fixed nonbasic column while [d_valid] holds:
+     seeded by [dual_feasible], updated from the pivot row after each dual
+     pivot and rebuilt after a refactorisation *)
+  mutable d : float array;
+  mutable d_valid : bool;
+  (* nonzeros alpha_rj = rho . a_j of the current pivot row, collected by
+     the dual ratio scan; length n+cap *)
+  mutable a_idx : int array;
+  mutable a_val : float array;
   (* scratch vectors, length cap *)
   mutable w : float array;
   mutable y : float array;
   mutable rho : float array;
   mutable cb : float array;
+  mutable dx : float array;  (* bound-flip accumulator *)
 }
 
 exception Numerical of string
@@ -301,6 +312,9 @@ let value t j =
 let col_iter t j f =
   if j < t.n then Sparse.iter f t.cols.(j) else f (j - t.n) (-1.0)
 
+let column t j =
+  if j < t.n then t.cols.(j) else Sparse.singleton (j - t.n) (-1.0)
+
 let col_dot t j dense =
   if j < t.n then Sparse.dot_dense t.cols.(j) dense
   else -.dense.(j - t.n)
@@ -351,11 +365,7 @@ let ftran t q =
     | Some sb ->
       (* hand the column over sparse: single-entry auxiliary columns and
          short structural columns take the hyper-sparse kernels *)
-      let rhs =
-        if q < t.n then t.cols.(q) else Sparse.singleton (q - t.n) (-1.0)
-      in
-      let w = Basis.ftran_sparse sb rhs in
-      Array.blit w 0 t.w 0 t.m
+      Basis.ftran_sparse sb (column t q) t.w
   end
   else begin
   t.ops.Basis.ftrans <- t.ops.Basis.ftrans + 1;
@@ -394,8 +404,8 @@ let compute_y t cb =
     match t.sbasis with
     | None -> invalid_arg "compute_y: basis not factorised"
     | Some sb ->
-      let y = Basis.btran sb (Array.sub cb 0 t.m) in
-      Array.blit y 0 t.y 0 t.m
+      Array.blit cb 0 t.y 0 t.m;
+      Basis.btran sb t.y
   end
   else begin
   t.ops.Basis.btrans <- t.ops.Basis.btrans + 1;
@@ -517,9 +527,9 @@ let recompute_xb t =
     match t.sbasis with
     | None -> invalid_arg "recompute_xb: basis not factorised"
     | Some sb ->
-      let w = Basis.ftran sb s in
+      Basis.ftran sb s;
       for r = 0 to m - 1 do
-        t.xb.(r) <- -.w.(r)
+        t.xb.(r) <- -.s.(r)
       done
   end
   else begin
@@ -538,11 +548,7 @@ let recompute_xb t =
    path-structured LPs are very sparse), then one unit solve per column of
    the inverse. Falls back on nothing — a singular basis is a hard
    numerical error handled by the driver. *)
-let basis_columns t =
-  Array.init t.m (fun k ->
-      let entries = ref [] in
-      col_iter t t.basic.(k) (fun i a -> entries := (i, a) :: !entries);
-      Sparse.of_assoc !entries)
+let basis_columns t = Array.init t.m (fun k -> column t t.basic.(k))
 
 (* LU pivot threshold scaled with the (possibly escalated) simplex pivot
    tolerance, never looser than the Lu.factor default. *)
@@ -557,6 +563,9 @@ let refactor_run t =
   t.degen_streak <- 0;
   t.bland <- false;
   t.xb_stale <- false;
+  (* the reduced costs restart from the fresh factorisation too, so their
+     update rounding never accumulates past one refactor interval *)
+  t.d_valid <- false;
   (* devex weights reference the basis representation they were accumulated
      against; a fresh factorisation restarts the reference framework *)
   Array.fill t.dvx 0 (Array.length t.dvx) 1.0;
@@ -764,7 +773,7 @@ let update_binv t r =
   if sparse_mode t then begin
     match t.sbasis with
     | None -> invalid_arg "update_binv: basis not factorised"
-    | Some sb -> Basis.update ~tol:t.cur_tol_pivot sb r (Array.sub t.w 0 t.m)
+    | Some sb -> Basis.update ~tol:t.cur_tol_pivot sb r t.w
   end
   else begin
   let m = t.m and w = t.w in
@@ -824,7 +833,7 @@ let devex_update_primal t ~q ~r =
   (if sparse_mode t then begin
      match t.sbasis with
      | None -> invalid_arg "devex: basis not factorised"
-     | Some sb -> Array.blit (Basis.btran_unit sb r) 0 t.rho 0 t.m
+     | Some sb -> Basis.btran_unit sb r t.rho
    end
    else Array.blit t.binv.(r) 0 t.rho 0 t.m);
   devex_update_with_rho t ~q ~r
@@ -834,6 +843,8 @@ type blocking = Flip | Block of { row : int; to_upper : bool }
 (* Applies a primal step: entering q moves by sigma*step, the blocking
    constraint decides who leaves the basis. t.w holds ftran(q). *)
 let apply_primal_pivot t ~q ~sigma ~step ~blocking =
+  (* primal pivots do not maintain the dual simplex's reduced costs *)
+  t.d_valid <- false;
   let w = t.w in
   let q_new = value t q +. (sigma *. step) in
   let left =
@@ -1050,57 +1061,129 @@ let most_violated_row t =
   done;
   !best
 
+(* d_j = c_j - a_j^T y for every non-fixed nonbasic column, from a fresh
+   BTRAN of the basic costs. *)
+let refresh_reduced_costs t =
+  fill_cb_phase2 t;
+  compute_y t t.cb;
+  for j = 0 to t.n + t.m - 1 do
+    match t.vstat.(j) with
+    | Basic _ -> ()
+    | _ when is_fixed t j -> ()
+    | At_lower | At_upper | Free_zero ->
+      t.d.(j) <- t.obj.(j) -. col_dot t j t.y
+  done;
+  t.d_valid <- true
+
+(* Row r of B^-1 into t.rho. *)
+let pivot_row t r =
+  let tr0 = tr_start () in
+  (if sparse_mode t then begin
+     match t.sbasis with
+     | None -> invalid_arg "dual: basis not factorised"
+     | Some sb -> Basis.btran_unit sb r t.rho
+   end
+   else begin
+     t.ops.Basis.btrans <- t.ops.Basis.btrans + 1;
+     Array.blit t.binv.(r) 0 t.rho 0 t.m
+   end);
+  tr_stop tr0 "simplex.btran"
+
+(* Moves the planned flips to their opposite bounds and updates the basic
+   values by one accumulated solve: xb -= B^-1 (sum_j A_j dx_j). The
+   reduced costs are untouched — no basis change. *)
+let apply_flips t flips =
+  let tr0 = tr_start () in
+  let acc = t.dx in
+  Array.fill acc 0 t.m 0.0;
+  List.iter
+    (fun j ->
+      let dx =
+        match t.vstat.(j) with
+        | At_lower ->
+          t.vstat.(j) <- At_upper;
+          t.up.(j) -. t.lo.(j)
+        | At_upper ->
+          t.vstat.(j) <- At_lower;
+          t.lo.(j) -. t.up.(j)
+        | Basic _ | Free_zero -> invalid_arg "dual flip of unbounded variable"
+      in
+      col_iter t j (fun i a -> acc.(i) <- acc.(i) +. (a *. dx));
+      t.st.s_flips <- t.st.s_flips + 1)
+    flips;
+  (if sparse_mode t then begin
+     match t.sbasis with
+     | None -> invalid_arg "dual: basis not factorised"
+     | Some sb ->
+       Basis.ftran sb acc;
+       for r' = 0 to t.m - 1 do
+         t.xb.(r') <- t.xb.(r') -. acc.(r')
+       done
+   end
+   else begin
+     t.ops.Basis.ftrans <- t.ops.Basis.ftrans + 1;
+     for r' = 0 to t.m - 1 do
+       let br = t.binv.(r') in
+       let sum = ref 0.0 in
+       for i = 0 to t.m - 1 do
+         sum := !sum +. (br.(i) *. acc.(i))
+       done;
+       t.xb.(r') <- t.xb.(r') -. !sum
+     done
+   end);
+  tr_stop tr0 "simplex.flips"
+
+(* Entry contract: a [dual_feasible] that returned [true] has just seeded
+   the reduced costs [t.d]. Each pivot then costs one BTRAN (the pivot row
+   rho), the entering FTRAN, and an update of d from the alphas of that
+   row; d is rebuilt from a BTRAN only after a refactorisation. *)
 let dual_simplex t =
   let rec loop () =
     if t.iters > effective_max_iters t then Status.Iteration_limit
     else if out_of_time t then Status.Time_limit
     else begin
       maybe_refactor t;
+      if not t.d_valid then refresh_reduced_costs t;
       match most_violated_row t with
       | None -> Status.Optimal
       | Some (r, _) ->
         let b = t.basic.(r) in
         let above = t.xb.(r) > t.up.(b) in
         let s = if above then 1.0 else -1.0 in
-        (if sparse_mode t then begin
-           match t.sbasis with
-           | None -> invalid_arg "dual: basis not factorised"
-           | Some sb -> Array.blit (Basis.btran_unit sb r) 0 t.rho 0 t.m
-         end
-         else begin
-           t.ops.Basis.btrans <- t.ops.Basis.btrans + 1;
-           Array.blit t.binv.(r) 0 t.rho 0 t.m
-         end);
-        fill_cb_phase2 t;
-        compute_y t t.cb;
+        pivot_row t r;
         (* entering candidates: columns whose pivot sign restores primal
-           feasibility, with their dual ratio |d_j| / |alpha_j| *)
+           feasibility, with their dual ratio |d_j| / |alpha_j|; every
+           nonzero alpha_rj is kept for the reduced-cost update *)
         let tr0 = tr_start () in
         t.st.s_full_scans <- t.st.s_full_scans + 1;
         let cands = ref [] in
         let consider j ratio alpha =
           cands := (j, ratio, abs_float alpha) :: !cands
         in
+        let na = ref 0 in
         let total = t.n + t.m in
         for j = 0 to total - 1 do
           match t.vstat.(j) with
           | Basic _ -> ()
           | _ when is_fixed t j -> ()
-          | At_lower ->
-            let alpha = s *. col_dot t j t.rho in
-            if alpha > t.cur_tol_pivot then begin
-              let d = max 0.0 (t.obj.(j) -. col_dot t j t.y) in
-              consider j (d /. alpha) alpha
+          | st ->
+            let a = col_dot t j t.rho in
+            if a <> 0.0 then begin
+              t.a_idx.(!na) <- j;
+              t.a_val.(!na) <- a;
+              incr na;
+              let alpha = s *. a in
+              match st with
+              | At_lower ->
+                if alpha > t.cur_tol_pivot then
+                  consider j (max 0.0 t.d.(j) /. alpha) alpha
+              | At_upper ->
+                if alpha < -.t.cur_tol_pivot then
+                  consider j (min 0.0 t.d.(j) /. alpha) alpha
+              | Free_zero ->
+                if abs_float alpha > t.cur_tol_pivot then consider j 0.0 alpha
+              | Basic _ -> ()
             end
-          | At_upper ->
-            let alpha = s *. col_dot t j t.rho in
-            if alpha < -.t.cur_tol_pivot then begin
-              let d = min 0.0 (t.obj.(j) -. col_dot t j t.y) in
-              consider j (d /. alpha) alpha
-            end
-          | Free_zero ->
-            let alpha = s *. col_dot t j t.rho in
-            if abs_float alpha > t.cur_tol_pivot then consider j 0.0 alpha
         done;
         let target = if above then t.up.(b) else t.lo.(b) in
         (* Entering choice: minimum dual ratio, ties (within 1e-12) to the
@@ -1154,48 +1237,7 @@ let dual_simplex t =
         if entering < 0 then Status.Infeasible
         else begin
           let q = entering in
-          (* apply the planned flips as one accumulated basic-value update:
-             xb -= B^-1 (sum_j A_j dx_j) *)
-          (match flips with
-          | [] -> ()
-          | fs ->
-            let acc = Array.make t.m 0.0 in
-            List.iter
-              (fun j ->
-                let dx =
-                  match t.vstat.(j) with
-                  | At_lower ->
-                    t.vstat.(j) <- At_upper;
-                    t.up.(j) -. t.lo.(j)
-                  | At_upper ->
-                    t.vstat.(j) <- At_lower;
-                    t.lo.(j) -. t.up.(j)
-                  | Basic _ | Free_zero ->
-                    invalid_arg "dual flip of unbounded variable"
-                in
-                col_iter t j (fun i a -> acc.(i) <- acc.(i) +. (a *. dx));
-                t.st.s_flips <- t.st.s_flips + 1)
-              fs;
-            if sparse_mode t then begin
-              match t.sbasis with
-              | None -> invalid_arg "dual: basis not factorised"
-              | Some sb ->
-                let wf = Basis.ftran sb acc in
-                for r' = 0 to t.m - 1 do
-                  t.xb.(r') <- t.xb.(r') -. wf.(r')
-                done
-            end
-            else begin
-              t.ops.Basis.ftrans <- t.ops.Basis.ftrans + 1;
-              for r' = 0 to t.m - 1 do
-                let br = t.binv.(r') in
-                let sum = ref 0.0 in
-                for i = 0 to t.m - 1 do
-                  sum := !sum +. (br.(i) *. acc.(i))
-                done;
-                t.xb.(r') <- t.xb.(r') -. !sum
-              done
-            end);
+          if flips <> [] then apply_flips t flips;
           ftran t q;
           let alpha_rq = t.w.(r) in
           if abs_float alpha_rq < t.cur_tol_pivot then
@@ -1204,15 +1246,27 @@ let dual_simplex t =
           let q_new = value t q +. dq in
           (* devex sees the pre-pivot rho computed for the row selection *)
           if t.p.pricing = Devex then devex_update_with_rho t ~q ~r;
+          let tr0 = tr_start () in
           (* basis update first: raises before any state mutation *)
           update_binv t r;
           for r' = 0 to t.m - 1 do
             if r' <> r then t.xb.(r') <- t.xb.(r') -. (dq *. t.w.(r'))
           done;
+          (* dual update along the pivot row: y' = y + theta rho, so
+             d_j -= theta alpha_rj; the entering column's reduced cost
+             becomes 0 and the leaving variable's becomes -theta *)
+          let theta = t.d.(q) /. col_dot t q t.rho in
+          for k = 0 to !na - 1 do
+            let j = t.a_idx.(k) in
+            t.d.(j) <- t.d.(j) -. (theta *. t.a_val.(k))
+          done;
+          t.d.(q) <- 0.0;
+          t.d.(b) <- -.theta;
           t.vstat.(b) <- (if above then At_upper else At_lower);
           t.basic.(r) <- q;
           t.vstat.(q) <- Basic r;
           t.xb.(r) <- q_new;
+          tr_stop tr0 "simplex.update";
           if t.p.pricing <> Dantzig then cand_offer t b 0.0;
           t.iters <- t.iters + 1;
           t.since_refactor <- t.since_refactor + 1;
@@ -1254,6 +1308,10 @@ let grow_arrays t needed_cap =
     t.y <- Array.make ncap 0.0;
     t.rho <- Array.make ncap 0.0;
     t.cb <- Array.make ncap 0.0;
+    t.dx <- Array.make ncap 0.0;
+    t.d <- grow_f t.d t.n;
+    t.a_idx <- Array.make (t.n + ncap) 0;
+    t.a_val <- Array.make (t.n + ncap) 0.0;
     let vs = Array.make (t.n + ncap) Free_zero in
     Array.blit t.vstat 0 vs 0 (t.n + t.m);
     t.vstat <- vs;
@@ -1361,6 +1419,11 @@ let of_problem ?(params = default_params) prob =
       y = Array.make cap 0.0;
       rho = Array.make cap 0.0;
       cb = Array.make cap 0.0;
+      dx = Array.make cap 0.0;
+      d = Array.make (n + cap) 0.0;
+      d_valid = false;
+      a_idx = Array.make (n + cap) 0;
+      a_val = Array.make (n + cap) 0.0;
     }
   in
   if params.sparse_basis then refactor t else recompute_xb t;
@@ -1444,16 +1507,20 @@ let dual_feasible t =
     (match t.vstat.(!j) with
     | Basic _ -> ()
     | _ when is_fixed t !j -> ()
-    | At_lower ->
-      if t.obj.(!j) -. col_dot t !j t.y < -.(10.0 *. dual_tol t !j) then
-        ok := false
-    | At_upper ->
-      if t.obj.(!j) -. col_dot t !j t.y > 10.0 *. dual_tol t !j then ok := false
-    | Free_zero ->
-      if abs_float (t.obj.(!j) -. col_dot t !j t.y) > 10.0 *. dual_tol t !j
-      then ok := false);
+    | st ->
+      let d = t.obj.(!j) -. col_dot t !j t.y in
+      t.d.(!j) <- d;
+      let tol = 10.0 *. dual_tol t !j in
+      (match st with
+      | At_lower -> if d < -.tol then ok := false
+      | At_upper -> if d > tol then ok := false
+      | Free_zero -> if abs_float d > tol then ok := false
+      | Basic _ -> ()));
     incr j
   done;
+  (* a completed scan has seeded every reduced cost the dual simplex
+     reads, which is what lets it start without a BTRAN of its own *)
+  t.d_valid <- !ok;
   !ok
 
 (* Phase-attributed wrappers: account wall time and the iteration delta of
@@ -1936,6 +2003,24 @@ let reduced_cost t j =
   fill_cb_phase2 t;
   compute_y t t.cb;
   t.obj.(j) -. col_dot t j t.y
+
+let reduced_cost_drift t =
+  if not t.d_valid then None
+  else begin
+    fill_cb_phase2 t;
+    compute_y t t.cb;
+    let worst = ref 0.0 in
+    for j = 0 to t.n + t.m - 1 do
+      match t.vstat.(j) with
+      | Basic _ -> ()
+      | _ when is_fixed t j -> ()
+      | At_lower | At_upper | Free_zero ->
+        let fresh = t.obj.(j) -. col_dot t j t.y in
+        let err = abs_float (t.d.(j) -. fresh) /. (1.0 +. abs_float t.obj.(j)) in
+        if err > !worst then worst := err
+    done;
+    Some !worst
+  end
 
 let solution t =
   match t.fallback with

@@ -27,7 +27,9 @@
     different domains are therefore safe and produce the same results as
     sequential calls (the batch layer {!Lubt_util.Pool} relies on this;
     cross-checked in [test/test_pool.ml]). A single [t] must not be
-    shared between domains without external synchronisation. *)
+    shared between domains without external synchronisation: its
+    factorisation ({!Lu}, {!Basis}) solves in a workspace it owns and is
+    not reentrant, and it never leaves the engine. *)
 
 type t
 (** A loaded LP engine: problem snapshot, current basis (either backend),
@@ -332,6 +334,14 @@ val dual : t -> float array
 
 val reduced_cost : t -> int -> float
 (** Reduced cost of a structural variable in the current basis. *)
+
+val reduced_cost_drift : t -> float option
+(** Cross-check of the dual simplex's incrementally updated reduced
+    costs: the largest [|d_j - (c_j - a_j^T y)| / (1 + |c_j|)] over the
+    non-fixed nonbasic columns, with [y] from a fresh BTRAN (which the
+    linear-algebra counters record). [None] while the engine keeps no
+    reduced costs, i.e. outside a dual simplex run. Meant for tests,
+    typically from a {!probe} during the ["dual"] phase. *)
 
 val iterations : t -> int
 (** Total simplex pivots over the engine's lifetime (equals

@@ -422,7 +422,8 @@ let test_lu_solve_roundtrip () =
     Alcotest.(check int) "dim" n (Lu.dim lu);
     let x_true = Array.init n (fun _ -> Prng.float rng 10.0 -. 5.0) in
     let b = mat_vec cols x_true in
-    let x = Lu.solve lu b in
+    let x = Array.make n 0.0 in
+    Lu.solve lu b x;
     Array.iteri
       (fun i v ->
         if not (Lubt_util.Stats.approx_eq ~eps:1e-8 v x_true.(i)) then
@@ -439,7 +440,8 @@ let test_lu_transpose_solve () =
     let lu = Lu.factor cols in
     let x_true = Array.init n (fun _ -> Prng.float rng 10.0 -. 5.0) in
     let c = mat_t_vec cols x_true in
-    let x = Lu.solve_transpose lu c in
+    let x = Array.make n 0.0 in
+    Lu.solve_transpose lu c x;
     Array.iteri
       (fun i v ->
         if not (Lubt_util.Stats.approx_eq ~eps:1e-8 v x_true.(i)) then
@@ -484,11 +486,181 @@ let test_lu_permutation_matrix () =
   let lu = Lu.factor cols in
   Alcotest.(check int) "nnz of a permutation" n (Lu.nnz lu);
   let b = Array.init n float_of_int in
-  let x = Lu.solve lu b in
+  let x = Array.make n 0.0 in
+  Lu.solve lu b x;
   (* x_j = b_(perm j) *)
   Array.iteri
     (fun j v -> Alcotest.(check (float 1e-12)) "perm solve" b.(perm.(j)) v)
     x
+
+(* The hyper-sparse kernels against the dense solves on one
+   factorisation, over many consecutive solves: every solve starts a new
+   reach stamp on the shared workspace, so stale marks or an unrestored
+   scratch column would corrupt a later solve. The kernels process the
+   reach in position order, exactly like the dense passes, so the results
+   must agree bit for bit. Matrices are sparse enough (about two
+   off-diagonals per column) that reaches stay small, and large enough
+   that both the sorted and the swept reach orderings occur. *)
+let prop_lu_sparse_kernels_match_dense =
+  QCheck.Test.make ~name:"hyper-sparse solves equal dense solves" ~count:12
+    QCheck.(pair (int_range 1 300) small_nat)
+    (fun (n, seed) ->
+      let rng = Prng.create (1 + (seed * 7919) + n) in
+      let cols =
+        Array.init n (fun j ->
+            let entries = ref [ (j, 4.0 +. Prng.float rng 2.0) ] in
+            for _ = 1 to Prng.int rng 3 do
+              let i = Prng.int rng n in
+              if i <> j then entries := (i, Prng.float rng 2.0 -. 1.0) :: !entries
+            done;
+            Sparse.of_assoc !entries)
+      in
+      let lu = Lu.factor cols in
+      let rhs =
+        Array.init 1000 (fun solve ->
+            let k =
+              if solve mod 50 = 0 then 1 + Prng.int rng n else 1 + Prng.int rng 3
+            in
+            Sparse.of_assoc
+              (List.init k (fun _ -> (Prng.int rng n, Prng.float rng 2.0 -. 1.0))))
+      in
+      (* all sparse solves back to back first: a dense solve in between
+         would reset the shared workspace and hide a leak *)
+      let transposed solve = solve mod 2 = 1 in
+      let densify b =
+        let v = Array.make n 0.0 in
+        Sparse.iter (fun i a -> v.(i) <- a) b;
+        v
+      in
+      let sparse =
+        Array.mapi
+          (fun solve b ->
+            let x = densify b in
+            let idx = Array.of_list (List.map fst (Sparse.to_assoc b)) in
+            let kernel =
+              if transposed solve then Lu.solve_transpose_sparse else Lu.solve_sparse
+            in
+            kernel lu x idx (Array.length idx) x;
+            x)
+          rhs
+      in
+      Array.iteri
+        (fun solve b ->
+          let want = densify b in
+          (if transposed solve then Lu.solve_transpose else Lu.solve)
+            lu want want;
+          Array.iteri
+            (fun i v ->
+              if v <> want.(i) then
+                QCheck.Test.fail_reportf
+                  "n=%d solve %d: x[%d] = %.17g, dense %.17g" n solve i v
+                  want.(i))
+            sparse.(solve))
+        rhs;
+      true)
+
+(* ------------------------------------------------------------------ *)
+(* Incremental reduced costs                                            *)
+(* ------------------------------------------------------------------ *)
+
+(* The dual simplex updates its reduced costs from the pivot row instead
+   of recomputing them from a BTRAN. After every dual pivot, on both
+   basis backends, they must still match a fresh [c_j - a_j^T y]: over
+   the full formulations of random EBF instances (long dual runs from
+   the all-slack basis, with refactorisations) and the lazy loop's
+   warm re-solves after appended rows, and over the general random LPs
+   of the lp_gen corpus that start dual feasible. *)
+let test_incremental_reduced_costs () =
+  let rng = Prng.create 4242 in
+  let pivots = ref 0 in
+  let watch label params prob =
+    let eng = Simplex.of_problem ~params prob in
+    Simplex.set_probe eng
+      (Some
+         (fun e ->
+           if e.Simplex.pr_phase = "dual" then begin
+             incr pivots;
+             match Simplex.reduced_cost_drift eng with
+             | None -> Alcotest.failf "%s: no reduced costs during a dual pivot" label
+             | Some drift ->
+               if drift > params.Simplex.tol_dual then
+                 Alcotest.failf "%s, iteration %d: reduced costs drifted by %g"
+                   label e.Simplex.pr_iteration drift
+           end));
+    ignore (Simplex.solve eng);
+    eng
+  in
+  List.iter
+    (fun sparse_basis ->
+      let params =
+        { Simplex.default_params with Simplex.sparse_basis; refactor_every = 25 }
+      in
+      let backend = if sparse_basis then "sparse" else "dense" in
+      for case = 1 to 15 do
+        let inst, tree = Lp_gen.random_ebf ~min_sinks:10 ~sink_span:20 rng in
+        let prob = Ebf.formulate inst tree in
+        let eng = watch (Printf.sprintf "%s ebf %d" backend case) params prob in
+        (* warm re-solve after a row that cuts off the optimum *)
+        let v = Simplex.primal eng in
+        let j = Prng.int rng (Array.length v) in
+        Simplex.add_row eng ~lo:(v.(j) +. 1.0) ~up:infinity [ (j, 1.0) ];
+        ignore (Simplex.solve eng)
+      done;
+      for case = 1 to 200 do
+        let prob = Lp_gen.random_problem rng in
+        ignore (watch (Printf.sprintf "%s random %d" backend case) params prob)
+      done)
+    [ true; false ];
+  if !pivots < 1000 then
+    Alcotest.failf "only %d dual pivots were checked" !pivots
+
+(* The dual simplex spends one BTRAN per pivot (the pivot row) plus one
+   per refactorisation (rebuilding the reduced costs) and one per round
+   (the dual-feasibility check that seeds them). The counts are
+   deterministic, so the budget is exact bookkeeping, not a timing: a
+   return of the per-pivot multiplier BTRAN would double it. The
+   instance is the one [lubt gen --size scaled --bench r3s --lower 0.95
+   --upper 1.0] writes, routed on the baseline topology like
+   [lubt solve --certify]. *)
+let test_btran_budget_r3s () =
+  let module Benchmarks = Lubt_data.Benchmarks in
+  let module Io = Lubt_data.Io in
+  let spec = Benchmarks.find Benchmarks.Scaled "r3s" in
+  let inst =
+    match
+      Io.instance_of_string
+        (Io.instance_to_string
+           (Benchmarks.instance ~lower:0.95 ~upper:1.0 spec))
+    with
+    | Ok i -> i
+    | Error msg -> Alcotest.fail msg
+  in
+  let lo, _ = Lubt_util.Stats.min_max inst.Instance.lower in
+  let _, hi = Lubt_util.Stats.min_max inst.Instance.upper in
+  let tree =
+    (Lubt_bst.Bst_dme.route ~skew_bound:(hi -. lo) ?source:inst.Instance.source
+       inst.Instance.sinks)
+      .Lubt_bst.Bst_dme.topology
+  in
+  let r =
+    Ebf.solve
+      ~options:{ Ebf.default_options with Ebf.check = Lubt_lp.Certify.Full }
+      inst tree
+  in
+  Alcotest.(check bool) "optimal" true (r.Ebf.status = Status.Optimal);
+  (match r.Ebf.certificate with
+  | Some c when c.Lubt_lp.Certify.ok -> ()
+  | _ -> Alcotest.fail "certificate missing or rejected");
+  Alcotest.(check string) "certified cost" "1767045.64"
+    (Printf.sprintf "%.2f" r.Ebf.objective);
+  let st = r.Ebf.lp_stats in
+  let budget =
+    st.Simplex.iterations + st.Simplex.refactorisations + r.Ebf.rounds + 2
+  in
+  if st.Simplex.btran_count > budget then
+    Alcotest.failf "%d BTRANs for %d pivots, %d refactorisations, %d rounds"
+      st.Simplex.btran_count st.Simplex.iterations st.Simplex.refactorisations
+      r.Ebf.rounds
 
 let () =
   Alcotest.run "lp-extra"
@@ -516,6 +688,14 @@ let () =
           Alcotest.test_case "detects singular" `Quick test_lu_detects_singular;
           Alcotest.test_case "permutation matrix" `Quick
             test_lu_permutation_matrix;
+          QCheck_alcotest.to_alcotest prop_lu_sparse_kernels_match_dense;
+        ] );
+      ( "reduced-costs",
+        [
+          Alcotest.test_case "incremental d matches fresh after every dual pivot"
+            `Quick test_incremental_reduced_costs;
+          Alcotest.test_case "r3s scaled: certified cost, BTRAN budget" `Quick
+            test_btran_budget_r3s;
         ] );
       ( "lp-format",
         [
