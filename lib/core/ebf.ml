@@ -170,7 +170,6 @@ let formulate ?weights inst tree =
 let check_lengths ?(tol = 1e-6) (inst : Instance.t) tree lengths =
   check_tree_matches inst tree;
   let terms = Array.of_list (terminals inst tree) in
-  let t = Array.length terms in
   let d = Tree.delays tree lengths in
   let scale = max 1.0 (Instance.diameter inst +. Instance.radius inst) in
   let eps = tol *. scale in
@@ -182,17 +181,15 @@ let check_lengths ?(tol = 1e-6) (inst : Instance.t) tree lengths =
     if Tree.forced_zero tree i && abs_float lengths.(i) > eps then
       fail (Printf.sprintf "edge %d must be zero but has length %g" i lengths.(i))
   done;
-  for i = 0 to t - 1 do
-    for j = i + 1 to t - 1 do
-      let a, pa = terms.(i) and b, pb = terms.(j) in
-      let need = Point.dist pa pb in
-      let have = d.(a) +. d.(b) -. (2.0 *. d.(Tree.lca tree a b)) in
-      if have < need -. eps then
-        fail
-          (Printf.sprintf "Steiner constraint (%d,%d): path %g < dist %g" a b
-             have need)
-    done
-  done;
+  (match
+     Steiner_rows.first_short_pair (Steiner_rows.create tree terms) ~delays:d
+       ~eps
+   with
+  | Some (i, j, have, need) ->
+    fail
+      (Printf.sprintf "Steiner constraint (%d,%d): path %g < dist %g"
+         (fst terms.(i)) (fst terms.(j)) have need)
+  | None -> ());
   Array.iteri
     (fun k node ->
       let dl = d.(node) in
@@ -211,30 +208,13 @@ let check_lengths ?(tol = 1e-6) (inst : Instance.t) tree lengths =
 (* Lazy row generation (Section 4.6 as exact lazy constraints)         *)
 (* ------------------------------------------------------------------ *)
 
-(* k nearest terminals of each terminal, by Manhattan distance *)
-let knn_pairs terms k =
-  let t = Array.length terms in
-  let pairs = Hashtbl.create (t * k) in
-  for i = 0 to t - 1 do
-    let _, pi = terms.(i) in
-    let dists =
-      Array.init t (fun j ->
-          let _, pj = terms.(j) in
-          (Point.dist pi pj, j))
-    in
-    Array.sort compare dists;
-    let added = ref 0 in
-    let idx = ref 0 in
-    while !added < k && !idx < t do
-      let _, j = dists.(!idx) in
-      incr idx;
-      if j <> i then begin
-        let key = (min i j, max i j) in
-        if not (Hashtbl.mem pairs key) then Hashtbl.replace pairs key ();
-        incr added
-      end
-    done
-  done;
+(* k nearest terminals of each terminal, by Manhattan distance. The
+   table's iteration order fixes the initial row order, so the insertion
+   sequence is part of the solver's trajectory. *)
+let knn_pairs rows k =
+  let pairs = Hashtbl.create (Steiner_rows.size rows * k) in
+  Steiner_rows.nearest rows k (fun i j ->
+      Hashtbl.replace pairs (min i j, max i j) ());
   pairs
 
 (* ------------------------------------------------------------------ *)
@@ -304,7 +284,7 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
   let prob = Problem.create () in
   add_edge_vars ?weights tree prob;
   add_delay_rows inst tree prob;
-  let added = Hashtbl.create 256 in
+  let rows = Steiner_rows.create tree terms in
   let scale =
     max 1.0 (Instance.diameter inst +. Instance.radius inst)
   in
@@ -365,8 +345,8 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
        edited distance degenerates to zero, because dropping one would
        shift every later row index under the cached basis. *)
     Array.iter
-      (fun key ->
-        Hashtbl.replace added key ();
+      (fun ((i, j) as key) ->
+        Steiner_rows.mark rows i j;
         row_log := key :: !row_log;
         let coeffs, d = row_of_pair key in
         ignore (Problem.add_row prob ~lo:d ~up:infinity coeffs))
@@ -383,7 +363,7 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
         all
       end
       else begin
-        let pairs = knn_pairs terms options.knn in
+        let pairs = knn_pairs rows options.knn in
         (* all source-sink rows: cheap and almost always binding *)
         (match inst.Instance.source with
         | Some _ ->
@@ -395,8 +375,8 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
       end
     in
     Hashtbl.iter
-      (fun key () ->
-        Hashtbl.replace added key ();
+      (fun ((i, j) as key) () ->
+        Steiner_rows.mark rows i j;
         let coeffs, d = row_of_pair key in
         if d > 0.0 then begin
           row_log := key :: !row_log;
@@ -433,9 +413,9 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
   Simplex.set_probe eng options.probe;
   (* One monotonic deadline shared by every phase of every round: the
      LP solves (enforced inside the engine via set_time_limit), the
-     O(t^2) violation scans (checked below — without this a run whose
-     scans dominate overshoots the budget by a full scan per round) and
-     the round boundaries themselves. *)
+     O(t^2) violation scans (polled inside the scan — without this a run
+     whose scans dominate overshoots the budget by a full scan per round)
+     and the round boundaries themselves. *)
   let deadline =
     if options.time_limit = infinity then infinity
     else Clock.now () +. options.time_limit
@@ -449,8 +429,8 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
     done;
     lengths
   in
-  (* main loop: solve, scan all pairs for violated Steiner constraints via
-     O(1) LCA path lengths, add the worst, re-optimise (dual simplex) *)
+  (* main loop: solve, scan all pairs for violated Steiner constraints,
+     add the worst, re-optimise (dual simplex) *)
   let round_stats = ref [] in
   let rec loop rounds =
     Metrics.incr m_rounds;
@@ -506,94 +486,64 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
       let scan_t0 = Clock.now () in
       let lengths = lengths_of_primal (Simplex.primal eng) in
       let d = Tree.delays tree lengths in
-      let violations = ref [] in
-      let scan_cut = ref false in
-      (* the scan is the Theta(t^2) phase: poll the deadline once per
-         outer row (t clock reads against t^2 pair work) and abandon
-         the sweep when the budget runs out mid-scan *)
-      (try
-         for i = 0 to t - 1 do
-           if deadline < infinity && expired () then begin
-             scan_cut := true;
-             raise Exit
-           end;
-           for j = i + 1 to t - 1 do
-             if not (Hashtbl.mem added (i, j)) then begin
-               let a, pa = terms.(i) and b, pb = terms.(j) in
-               let need = Point.dist pa pb in
-               if need > 0.0 then begin
-                 let have = d.(a) +. d.(b) -. (2.0 *. d.(Tree.lca tree a b)) in
-                 let viol = need -. have in
-                 if viol > options.violation_tol *. scale then
-                   violations := (viol, (i, j)) :: !violations
-               end
-             end
-           done
-         done
-       with Exit -> ());
+      let sc =
+        Steiner_rows.scan rows ~delays:d
+          ~threshold:(options.violation_tol *. scale)
+          ~batch:options.batch
+          ?expired:(if deadline < infinity then Some expired else None)
+          ()
+      in
+      let found = sc.Steiner_rows.found in
       let scan_seconds = Clock.now () -. scan_t0 in
       if Metrics.enabled () then
-        Metrics.observe m_scan_violations
-          (float_of_int (List.length !violations));
+        Metrics.observe m_scan_violations (float_of_int found);
       if Trace.enabled () then
         Trace.complete ~t0:scan_t0 "ebf.scan"
           ~args:
-            [
-              ("round", Trace.Int rounds);
-              ("violations", Trace.Int (List.length !violations));
-            ];
-      if !scan_cut then begin
+            [ ("round", Trace.Int rounds); ("violations", Trace.Int found) ];
+      if sc.Steiner_rows.cut then begin
         (* a truncated scan proves nothing about the unseen pairs: the
            incumbent lengths are a partial answer, not an optimum *)
-        record ~rows_added:0 ~violations_found:(List.length !violations)
-          ~scan_seconds ();
+        record ~rows_added:0 ~violations_found:found ~scan_seconds ();
         (Status.Time_limit, rounds)
       end
-      else
-      match !violations with
-      | [] ->
+      else if found = 0 then begin
         record ~rows_added:0 ~violations_found:0 ~scan_seconds ();
         (Status.Optimal, rounds)
-      | vs ->
-        if rounds >= options.max_rounds then begin
-          record ~rows_added:0 ~violations_found:(List.length vs) ~scan_seconds ();
-          (Status.Iteration_limit, rounds)
-        end
-        else begin
-          let sorted = List.sort (fun (a, _) (b, _) -> compare b a) vs in
-          let take = ref 0 in
-          let append_t0 = if Trace.enabled () then Clock.now () else 0.0 in
-          let ext0 = (Simplex.stats eng).Simplex.basis_extensions in
-          List.iter
-            (fun (_, key) ->
-              if !take < options.batch then begin
-                incr take;
-                Hashtbl.replace added key ();
-                row_log := key :: !row_log;
-                let coeffs, dist = row_of_pair key in
-                Simplex.add_row eng ~lo:dist ~up:infinity coeffs;
-                (* mirror the row into the model so the materialised LP is
-                   available for a-posteriori certification *)
-                ignore (Problem.add_row prob ~lo:dist ~up:infinity coeffs)
-              end)
-            sorted;
-          (* rows the engine absorbed into the live factorisation rather
-             than deferring to a refactorisation *)
-          let warm_rows =
-            (Simplex.stats eng).Simplex.basis_extensions - ext0
-          in
-          if Trace.enabled () then
-            Trace.complete ~t0:append_t0 "ebf.append_rows"
-              ~args:
-                [
-                  ("round", Trace.Int rounds);
-                  ("rows", Trace.Int !take);
-                  ("warm_rows", Trace.Int warm_rows);
-                ];
-          record ~warm_rows ~rows_added:!take ~violations_found:(List.length vs)
-            ~scan_seconds ();
-          loop (rounds + 1)
-        end
+      end
+      else if rounds >= options.max_rounds then begin
+        record ~rows_added:0 ~violations_found:found ~scan_seconds ();
+        (Status.Iteration_limit, rounds)
+      end
+      else begin
+        let append_t0 = if Trace.enabled () then Clock.now () else 0.0 in
+        let ext0 = (Simplex.stats eng).Simplex.basis_extensions in
+        Array.iter
+          (fun ((i, j) as key) ->
+            Steiner_rows.mark rows i j;
+            row_log := key :: !row_log;
+            let coeffs, dist = row_of_pair key in
+            Simplex.add_row eng ~lo:dist ~up:infinity coeffs;
+            (* mirror the row into the model so the materialised LP is
+               available for a-posteriori certification *)
+            ignore (Problem.add_row prob ~lo:dist ~up:infinity coeffs))
+          sc.Steiner_rows.top;
+        let take = Array.length sc.Steiner_rows.top in
+        (* rows the engine absorbed into the live factorisation rather
+           than deferring to a refactorisation *)
+        let warm_rows = (Simplex.stats eng).Simplex.basis_extensions - ext0 in
+        if Trace.enabled () then
+          Trace.complete ~t0:append_t0 "ebf.append_rows"
+            ~args:
+              [
+                ("round", Trace.Int rounds);
+                ("rows", Trace.Int take);
+                ("warm_rows", Trace.Int warm_rows);
+              ];
+        record ~warm_rows ~rows_added:take ~violations_found:found
+          ~scan_seconds ();
+        loop (rounds + 1)
+      end
     end
     end
   in

@@ -15,7 +15,7 @@
     - [lazy_steiner = false]: all [\binom{m}{2}] Steiner rows upfront;
     - [lazy_steiner = true] (default): row generation — start from the
       k-nearest-neighbour pairs plus all source-sink rows, solve, scan all
-      pairs for violations in O(m^2) using LCA path lengths, add the worst
+      pairs for violations in O(m^2) ({!Steiner_rows}), add the worst
       offenders, and re-optimise with the warm-started dual simplex. This
       is the exact-optimal realisation of the paper's Section 4.6
       constraint reduction. *)

@@ -52,12 +52,11 @@ let solve ?(options = Ebf.default_options) ?weights ~skew_bound
     | None -> Array.of_list base
   in
   let nt = Array.length terms in
-  let added = Hashtbl.create 256 in
+  let pairs = Steiner_rows.create tree terms in
   let scale = max 1.0 (Instance.diameter inst +. Instance.radius inst) in
   let eager = (not options.Ebf.lazy_steiner) || nt <= 12 in
-  let add_pair_row key =
-    Hashtbl.replace added key ();
-    let i, j = key in
+  let add_pair_row i j =
+    Steiner_rows.mark pairs i j;
     let a, pa = terms.(i) and b, pb = terms.(j) in
     let d = Point.dist pa pb in
     if d > 0.0 then ignore (Problem.add_row prob ~lo:d ~up:infinity (path_coeffs a b))
@@ -65,34 +64,18 @@ let solve ?(options = Ebf.default_options) ?weights ~skew_bound
   if eager then
     for i = 0 to nt - 1 do
       for j = i + 1 to nt - 1 do
-        add_pair_row (i, j)
+        add_pair_row i j
       done
     done
   else begin
-    (* nearest-neighbour seeding as in Ebf *)
-    for i = 0 to nt - 1 do
-      let _, pi = terms.(i) in
-      let dists =
-        Array.init nt (fun j ->
-            let _, pj = terms.(j) in
-            (Point.dist pi pj, j))
-      in
-      Array.sort compare dists;
-      let count = ref 0 and idx = ref 0 in
-      while !count < options.Ebf.knn && !idx < nt do
-        let _, j = dists.(!idx) in
-        incr idx;
-        if j <> i then begin
-          let key = (min i j, max i j) in
-          if not (Hashtbl.mem added key) then add_pair_row key;
-          incr count
-        end
-      done
-    done;
+    (* nearest-neighbour seeding as in Ebf, rows in discovery order *)
+    Steiner_rows.nearest pairs options.Ebf.knn (fun i j ->
+        if not (Steiner_rows.marked pairs i j) then
+          add_pair_row (min i j) (max i j));
     match inst.Instance.source with
     | Some _ ->
       for j = 1 to nt - 1 do
-        if not (Hashtbl.mem added (0, j)) then add_pair_row (0, j)
+        if not (Steiner_rows.marked pairs 0 j) then add_pair_row 0 j
       done
     | None -> ()
   end;
@@ -109,41 +92,23 @@ let solve ?(options = Ebf.default_options) ?weights ~skew_bound
     if status <> Status.Optimal then (status, rounds)
     else begin
       let lengths = lengths_of_primal (Simplex.primal eng) in
-      let d = Tree.delays tree lengths in
-      let violations = ref [] in
-      for i = 0 to nt - 1 do
-        for j = i + 1 to nt - 1 do
-          if not (Hashtbl.mem added (i, j)) then begin
+      let sc =
+        Steiner_rows.scan pairs ~delays:(Tree.delays tree lengths)
+          ~threshold:(options.Ebf.violation_tol *. scale)
+          ~batch:options.Ebf.batch ()
+      in
+      if sc.Steiner_rows.found = 0 then (Status.Optimal, rounds)
+      else if rounds >= options.Ebf.max_rounds then (Status.Iteration_limit, rounds)
+      else begin
+        Array.iter
+          (fun (i, j) ->
+            Steiner_rows.mark pairs i j;
             let a, pa = terms.(i) and b, pb = terms.(j) in
-            let need = Point.dist pa pb in
-            if need > 0.0 then begin
-              let have = d.(a) +. d.(b) -. (2.0 *. d.(Tree.lca tree a b)) in
-              let viol = need -. have in
-              if viol > options.Ebf.violation_tol *. scale then
-                violations := (viol, (i, j)) :: !violations
-            end
-          end
-        done
-      done;
-      match !violations with
-      | [] -> (Status.Optimal, rounds)
-      | vs ->
-        if rounds >= options.Ebf.max_rounds then (Status.Iteration_limit, rounds)
-        else begin
-          let sorted = List.sort (fun (a, _) (b, _) -> compare b a) vs in
-          let take = ref 0 in
-          List.iter
-            (fun (_, (i, j)) ->
-              if !take < options.Ebf.batch then begin
-                incr take;
-                Hashtbl.replace added (i, j) ();
-                let a, pa = terms.(i) and b, pb = terms.(j) in
-                let dist = Point.dist pa pb in
-                Simplex.add_row eng ~lo:dist ~up:infinity (path_coeffs a b)
-              end)
-            sorted;
-          loop (rounds + 1)
-        end
+            let dist = Point.dist pa pb in
+            Simplex.add_row eng ~lo:dist ~up:infinity (path_coeffs a b))
+          sc.Steiner_rows.top;
+        loop (rounds + 1)
+      end
     end
   in
   let status, rounds = loop 1 in

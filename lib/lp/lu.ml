@@ -2,7 +2,7 @@
 
    P A = L U with unit-diagonal L. Columns are processed left to right
    with a dense accumulator: column j of A is scattered into x, the
-   updates of all previous columns are applied (only where x is nonzero at
+   updates of the previous columns are applied (only where x is nonzero at
    their pivot rows), then the largest remaining entry is chosen as the
    pivot. L entries keep ORIGINAL row indices; [prow] records which
    original row became the k-th pivot. *)
@@ -53,6 +53,54 @@ let factor ?(pivot_tol = 1e-11) cols =
   let x = Array.make n 0.0 in
   let touched = Array.make n 0 in
   let marked = Array.make n false in
+  (* min-heap of the pivot positions whose rows are nonzero in x; the
+     solve workspace [reach_a] doubles as its storage *)
+  let heap = Array.make n 0 in
+  let hsize = ref 0 in
+  let push k =
+    let c = ref !hsize in
+    incr hsize;
+    let sifting = ref true in
+    while !sifting && !c > 0 do
+      let p = (!c - 1) / 2 in
+      if heap.(p) > k then begin
+        heap.(!c) <- heap.(p);
+        c := p
+      end
+      else sifting := false
+    done;
+    heap.(!c) <- k
+  in
+  let pop () =
+    let top = heap.(0) in
+    decr hsize;
+    let last = heap.(!hsize) in
+    let size = !hsize in
+    let c = ref 0 in
+    let sifting = ref true in
+    while !sifting do
+      let l = (2 * !c) + 1 in
+      if l >= size then sifting := false
+      else begin
+        let m = if l + 1 < size && heap.(l + 1) < heap.(l) then l + 1 else l in
+        if heap.(m) < last then begin
+          heap.(!c) <- heap.(m);
+          c := m
+        end
+        else sifting := false
+      end
+    done;
+    if size > 0 then heap.(!c) <- last;
+    top
+  in
+  (* first touch of row i in this column; an already-pivoted row joins
+     the elimination queue *)
+  let touch ntouch i =
+    marked.(i) <- true;
+    touched.(!ntouch) <- i;
+    incr ntouch;
+    if pos.(i) >= 0 then push pos.(i)
+  in
   for j = 0 to n - 1 do
     (* scatter column j *)
     let ntouch = ref 0 in
@@ -60,13 +108,16 @@ let factor ?(pivot_tol = 1e-11) cols =
       (fun i v ->
         if i >= n then invalid_arg "Lu.factor: row index out of range";
         x.(i) <- v;
-        marked.(i) <- true;
-        touched.(!ntouch) <- i;
-        incr ntouch)
+        touch ntouch i)
       cols.(j);
-    (* eliminate with previous columns, in pivot order *)
+    (* eliminate with previous columns in ascending pivot order, visiting
+       only those whose pivot row is nonzero here (Gilbert-Peierls): a
+       fill row of L column k has position > k or none yet, so the heap
+       minimum never moves backwards and the updates run in the same
+       order as a sweep over every k < j *)
     let u_r = ref [] and u_v = ref [] in
-    for k = 0 to j - 1 do
+    while !hsize > 0 do
+      let k = pop () in
       let xk = x.(prow.(k)) in
       if xk <> 0.0 then begin
         u_r := k :: !u_r;
@@ -74,11 +125,7 @@ let factor ?(pivot_tol = 1e-11) cols =
         let rows = l_rows.(k) and vals = l_vals.(k) in
         for t = 0 to Array.length rows - 1 do
           let i = rows.(t) in
-          if not marked.(i) then begin
-            marked.(i) <- true;
-            touched.(!ntouch) <- i;
-            incr ntouch
-          end;
+          if not marked.(i) then touch ntouch i;
           x.(i) <- x.(i) -. (vals.(t) *. xk)
         done
       end
@@ -154,11 +201,30 @@ let factor ?(pivot_tol = 1e-11) cols =
     mark = Array.make n 0;
     stamp = 0;
     stack = touched;
-    reach_a = Array.make n 0;
+    reach_a = heap;  (* empty after the last column *)
     reach_b = Array.make n 0;
   }
 
 let dim t = t.n
+
+type factors = {
+  l_index : int array array;
+  l_value : float array array;
+  u_index : int array array;
+  u_value : float array array;
+  diag : float array;
+  pivot_rows : int array;
+}
+
+let factors t =
+  {
+    l_index = t.l_rows;
+    l_value = t.l_vals;
+    u_index = t.u_rows;
+    u_value = t.u_vals;
+    diag = t.u_diag;
+    pivot_rows = t.prow;
+  }
 
 let nnz t =
   let acc = ref t.n in

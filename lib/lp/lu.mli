@@ -1,5 +1,8 @@
 (** Sparse LU factorisation with partial pivoting (left-looking,
-    Gilbert-Peierls style with a dense accumulator column).
+    Gilbert-Peierls style with a dense accumulator column). Each column
+    is eliminated only by the earlier pivots whose rows it reaches,
+    popped in ascending order from a heap, so factorisation work follows
+    the nonzeros rather than the dimension.
 
     Factors a square matrix given by its sparse columns as [P A = L U]
     and provides the four triangular solves the revised simplex needs:
@@ -30,6 +33,23 @@ val dim : t -> int
 
 val nnz : t -> int
 (** Fill-in diagnostic: stored nonzeros of [L] and [U]. *)
+
+type factors = {
+  l_index : int array array;
+      (** strictly-below-pivot rows of [L] column [k], original row
+          indices *)
+  l_value : float array array;
+  u_index : int array array;
+      (** above-diagonal entries of [U] column [j], as pivot positions,
+          descending *)
+  u_value : float array array;
+  diag : float array;  (** the diagonal of [U] *)
+  pivot_rows : int array;  (** pivot position [k] -> original row *)
+}
+
+val factors : t -> factors
+(** The stored factors, shared with [t] (do not mutate). For diagnostics
+    and for tests that pin the elimination order bit for bit. *)
 
 val solve : t -> float array -> float array -> unit
 (** [solve t b x] writes [x] with [A x = b] into [x.(0 .. dim-1)]; [b]

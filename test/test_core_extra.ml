@@ -189,6 +189,128 @@ let test_svg_write_file () =
   Sys.remove path;
   Alcotest.(check bool) "nonempty file" true (len > 200)
 
+(* ------------------------------------------------------------------ *)
+(* Lazy Steiner-row bookkeeping against the all-pairs references        *)
+(* ------------------------------------------------------------------ *)
+
+module Steiner_rows = Lubt_core.Steiner_rows
+
+(* A random rooted tree with sinks anywhere (internal nodes included), in
+   shuffled sink order so terminal order differs from preorder, with or
+   without a source terminal at the root. Coordinates and edge lengths
+   are often small integers, which makes coincident terminals
+   (distance 0) and exactly equal violations common. *)
+type rowgen_case = {
+  tree : Tree.t;
+  inst : Instance.t;
+  terms : (int * Point.t) array;
+  lengths : float array;
+  rng : Prng.t;
+}
+
+let rowgen_case seed =
+  let rng = Prng.create (17 + (seed * 6151)) in
+  let n = 2 + Prng.int rng 40 in
+  let parents = Array.init n (fun i -> if i = 0 then -1 else Prng.int rng i) in
+  let nodes = Array.init (n - 1) (fun i -> i + 1) in
+  for i = n - 2 downto 1 do
+    let j = Prng.int rng (i + 1) in
+    let v = nodes.(i) in
+    nodes.(i) <- nodes.(j);
+    nodes.(j) <- v
+  done;
+  let sinks = Array.sub nodes 0 (1 + Prng.int rng (n - 1)) in
+  let tree = Tree.create ~parents ~sinks () in
+  let grid = Prng.bool rng in
+  let coord () =
+    if grid then float_of_int (Prng.int rng 6) else Prng.float rng 100.0
+  in
+  let point () = pt (coord ()) (coord ()) in
+  let sink_pts = Array.map (fun _ -> point ()) sinks in
+  let source = if Prng.bool rng then Some (point ()) else None in
+  let inst =
+    Instance.uniform_bounds ?source ~sinks:sink_pts ~lower:0.0 ~upper:infinity
+      ()
+  in
+  let terms =
+    let base = Array.mapi (fun k node -> (node, sink_pts.(k))) sinks in
+    match source with
+    | Some p -> Array.append [| (Tree.root, p) |] base
+    | None -> base
+  in
+  let stretch = if grid then 1.0 else Prng.float rng 60.0 in
+  let lengths =
+    Array.init n (fun i ->
+        if i = 0 then 0.0
+        else if grid then float_of_int (Prng.int rng 4)
+        else stretch *. Prng.float rng 1.0)
+  in
+  { tree; inst; terms; lengths; rng }
+
+let show_pairs ps =
+  String.concat " " (List.map (fun (i, j) -> Printf.sprintf "(%d,%d)" i j) ps)
+
+let prop_scan_matches_reference =
+  QCheck.Test.make ~name:"subtree-pair scan equals the all-pairs sweep"
+    ~count:400 QCheck.small_nat (fun seed ->
+      let c = rowgen_case seed in
+      let t = Array.length c.terms in
+      let rows = Steiner_rows.create c.tree c.terms in
+      for i = 0 to t - 1 do
+        for j = i + 1 to t - 1 do
+          if Prng.int c.rng 4 = 0 then Steiner_rows.mark rows i j
+        done
+      done;
+      let delays = Tree.delays c.tree c.lengths in
+      let threshold = [| 0.0; 1e-9; 0.5; 2.0 |].(Prng.int c.rng 4) in
+      List.for_all
+        (fun batch ->
+          let sc = Steiner_rows.scan rows ~delays ~threshold ~batch () in
+          let found, top =
+            Ref_rowgen.scan c.tree c.terms ~marked:(Steiner_rows.marked rows)
+              ~delays ~threshold ~batch
+          in
+          let got = Array.to_list sc.Steiner_rows.top in
+          if sc.Steiner_rows.found <> found || got <> top then
+            QCheck.Test.fail_reportf
+              "t=%d batch=%d: %d violations (reference %d), batch %s vs %s" t
+              batch sc.Steiner_rows.found found (show_pairs got)
+              (show_pairs top);
+          not sc.Steiner_rows.cut)
+        [ 1; 64; max_int; 1 + Prng.int c.rng 8 ])
+
+let prop_nearest_matches_reference =
+  QCheck.Test.make ~name:"insertion-buffer kNN equals the sorted kNN"
+    ~count:200 QCheck.small_nat (fun seed ->
+      let c = rowgen_case seed in
+      let rows = Steiner_rows.create c.tree c.terms in
+      List.for_all
+        (fun k ->
+          let got = ref [] in
+          Steiner_rows.nearest rows k (fun i j -> got := (i, j) :: !got);
+          List.rev !got = Ref_rowgen.nearest c.terms k)
+        [ 0; 1; 3; Array.length c.terms + 2 ])
+
+(* check_lengths reports the first short pair in (i, j) order, whatever
+   order the enumeration finds them in *)
+let prop_check_lengths_matches_reference =
+  QCheck.Test.make ~name:"check_lengths reports the reference's first pair"
+    ~count:300 QCheck.small_nat (fun seed ->
+      let c = rowgen_case seed in
+      let delays = Tree.delays c.tree c.lengths in
+      let eps =
+        1e-6 *. max 1.0 (Instance.diameter c.inst +. Instance.radius c.inst)
+      in
+      let want =
+        match Ref_rowgen.first_short_pair c.tree c.terms ~delays ~eps with
+        | None -> Ok ()
+        | Some (i, j, have, need) ->
+          Error
+            (Printf.sprintf "Steiner constraint (%d,%d): path %g < dist %g"
+               (fst c.terms.(i)) (fst c.terms.(j)) have need)
+      in
+      Ebf.check_lengths c.inst c.tree c.lengths = want)
+
 let () =
   Alcotest.run "core-extra"
     [
@@ -205,6 +327,14 @@ let () =
           Alcotest.test_case "baseline topology as start" `Slow
             test_beats_baseline_topology_sometimes;
         ] );
+      ( "row-generation",
+        List.map
+          (QCheck_alcotest.to_alcotest ~speed_level:`Quick)
+          [
+            prop_scan_matches_reference;
+            prop_nearest_matches_reference;
+            prop_check_lengths_matches_reference;
+          ] );
       ( "svg",
         [
           Alcotest.test_case "well-formed" `Quick test_svg_well_formed;

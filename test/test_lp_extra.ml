@@ -493,6 +493,88 @@ let test_lu_permutation_matrix () =
     (fun j v -> Alcotest.(check (float 1e-12)) "perm solve" b.(perm.(j)) v)
     x
 
+(* [Lu.factor] pops the earlier pivots a column reaches from a heap
+   instead of sweeping every k < j; the updates must still run in
+   ascending k, so its factors equal the sweep's (test/ref_lu.ml) bit for
+   bit, and a singular matrix fails at the same column. Small integer
+   values make exact cancellations (x_k = 0.0 after an update) common. *)
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+let same_factors (f : Lu.factors) (g : Lu.factors) =
+  f.Lu.pivot_rows = g.Lu.pivot_rows
+  && f.Lu.l_index = g.Lu.l_index
+  && f.Lu.u_index = g.Lu.u_index
+  && same_bits f.Lu.diag g.Lu.diag
+  && Array.for_all2 same_bits f.Lu.l_value g.Lu.l_value
+  && Array.for_all2 same_bits f.Lu.u_value g.Lu.u_value
+
+let factor_agrees cols =
+  let outcome factor =
+    match factor cols with f -> Ok f | exception Lu.Singular j -> Error j
+  in
+  match
+    (outcome (fun c -> Lu.factors (Lu.factor c)), outcome Ref_lu.factor)
+  with
+  | Ok f, Ok g -> same_factors f g
+  | Error j, Error j' -> j = j'
+  | _ -> false
+
+let prop_lu_factor_matches_sweep =
+  QCheck.Test.make ~name:"heap-ordered factor equals the k < j sweep"
+    ~count:300
+    QCheck.(pair (int_range 1 80) small_nat)
+    (fun (n, seed) ->
+      let rng = Prng.create (3 + (seed * 104729) + n) in
+      let value () =
+        if Prng.bool rng then float_of_int (Prng.int rng 5 - 2)
+        else Prng.float rng 2.0 -. 1.0
+      in
+      let cols =
+        Array.init n (fun j ->
+            let entries =
+              ref (if Prng.int rng 60 = 0 then [] else [ (j, 3.0 +. value ()) ])
+            in
+            for _ = 1 to Prng.int rng 4 do
+              let i = Prng.int rng n in
+              if not (List.mem_assoc i !entries) then
+                entries := (i, value ()) :: !entries
+            done;
+            Sparse.of_assoc !entries)
+      in
+      factor_agrees cols)
+
+(* bases of EBF programs: path-incidence columns of the edge variables
+   mixed with slack unit columns, singular ones included *)
+let prop_lu_factor_matches_sweep_ebf =
+  QCheck.Test.make ~name:"heap-ordered factor equals the sweep on EBF bases"
+    ~count:100 QCheck.small_nat (fun seed ->
+      let rng = Prng.create (11 + (seed * 7919)) in
+      let inst, tree = Lp_gen.random_ebf ~min_sinks:4 ~sink_span:12 rng in
+      let prob = Lubt_core.Ebf.formulate inst tree in
+      let m = Problem.nrows prob and nv = Problem.nvars prob in
+      let structural = Array.make nv [] in
+      for i = m - 1 downto 0 do
+        Sparse.iter
+          (fun j a -> structural.(j) <- (i, a) :: structural.(j))
+          (Problem.row prob i).Problem.coeffs
+      done;
+      let used = Array.make nv false in
+      let swap = Prng.int rng 4 in
+      let cols =
+        Array.init m (fun i ->
+            let j = Prng.int rng nv in
+            if Prng.int rng 10 < swap && not used.(j) then begin
+              used.(j) <- true;
+              Sparse.of_assoc structural.(j)
+            end
+            else Sparse.singleton i (-1.0))
+      in
+      factor_agrees cols)
+
 (* The hyper-sparse kernels against the dense solves on one
    factorisation, over many consecutive solves: every solve starts a new
    reach stamp on the shared workspace, so stale marks or an unrestored
@@ -654,6 +736,17 @@ let test_btran_budget_r3s () =
   Alcotest.(check string) "certified cost" "1767045.64"
     (Printf.sprintf "%.2f" r.Ebf.objective);
   let st = r.Ebf.lp_stats in
+  (* the pivot trajectory: row generation and refactorisation are pure
+     bookkeeping, so changes there must leave these counts exactly as
+     the all-pairs scan and the k < j elimination sweep produced them *)
+  Alcotest.(check int) "iterations" 1023 st.Simplex.iterations;
+  Alcotest.(check int) "refactorisations" 15 st.Simplex.refactorisations;
+  Alcotest.(check int) "rounds" 12 r.Ebf.rounds;
+  Alcotest.(check int) "lp rows" 1483 r.Ebf.lp_rows;
+  (* every violated pair is counted, not only the batch that is added *)
+  Alcotest.(check (list int)) "violations per round"
+    [ 23598; 10723; 6038; 3216; 2034; 1274; 650; 367; 189; 67; 5; 0 ]
+    (List.map (fun s -> s.Ebf.violations_found) r.Ebf.round_stats);
   let budget =
     st.Simplex.iterations + st.Simplex.refactorisations + r.Ebf.rounds + 2
   in
@@ -689,6 +782,10 @@ let () =
           Alcotest.test_case "permutation matrix" `Quick
             test_lu_permutation_matrix;
           QCheck_alcotest.to_alcotest prop_lu_sparse_kernels_match_dense;
+          QCheck_alcotest.to_alcotest ~speed_level:`Quick
+            prop_lu_factor_matches_sweep;
+          QCheck_alcotest.to_alcotest ~speed_level:`Quick
+            prop_lu_factor_matches_sweep_ebf;
         ] );
       ( "reduced-costs",
         [

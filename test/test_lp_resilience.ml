@@ -257,6 +257,40 @@ let test_ebf_time_limit () =
   | Some c -> Alcotest.(check bool) "certified" true c.Certify.ok
   | None -> Alcotest.fail "expected a certificate")
 
+(* A budget that runs out inside the violation scan: with no seed rows
+   and no delay rows the first LP is empty and solves at once, and at
+   zero lengths every pair of distinct terminals is violated, so the
+   first scan alone would run for many times the budget. It must stop
+   part-way through and report Time_limit on a round that added no
+   rows, having counted the violations it saw. *)
+let test_ebf_time_limit_inside_scan () =
+  let rng = Prng.create 2024 in
+  let m = 8000 in
+  let sinks =
+    Array.init m (fun _ ->
+        Point.make (Prng.float rng 1000.0) (Prng.float rng 1000.0))
+  in
+  let parents = Array.init (m + 1) (fun i -> if i = 0 then -1 else i / 2) in
+  let tree =
+    Lubt_topo.Tree.create ~parents ~sinks:(Array.init m (fun k -> k + 1)) ()
+  in
+  let inst = Instance.uniform_bounds ~sinks ~lower:0.0 ~upper:infinity () in
+  let r =
+    Ebf.solve
+      ~options:{ Ebf.default_options with Ebf.knn = 0; time_limit = 0.02 }
+      inst tree
+  in
+  Alcotest.(check bool) "Time_limit" true (r.Ebf.status = Status.Time_limit);
+  match r.Ebf.round_stats with
+  | [ s ] ->
+    Alcotest.(check int) "no rows added" 0 s.Ebf.rows_added;
+    if s.Ebf.violations_found = 0 || s.Ebf.violations_found >= m * (m - 1) / 2
+    then
+      Alcotest.failf "scan not cut part-way: %d of %d pairs counted"
+        s.Ebf.violations_found
+        (m * (m - 1) / 2)
+  | stats -> Alcotest.failf "%d round records, expected 1" (List.length stats)
+
 (* ------------------------------------------------------------------ *)
 (* Fault matrix: every kind x both backends on the cross-check corpus   *)
 (* ------------------------------------------------------------------ *)
@@ -433,6 +467,8 @@ let () =
             test_engine_time_limit;
           Alcotest.test_case "params time_limit" `Quick test_params_time_limit;
           Alcotest.test_case "ebf time_limit" `Quick test_ebf_time_limit;
+          Alcotest.test_case "ebf time_limit inside the scan" `Quick
+            test_ebf_time_limit_inside_scan;
         ] );
       ( "fault-matrix",
         [
