@@ -170,31 +170,9 @@ let timing_tests ?(seed = 0) () =
       ~upper:(baseline.Protocol.bst.Bst.dmax) ()
   in
   let relaxed = Instance.uniform_bounds ~source ~sinks ~lower:0.0 ~upper:infinity () in
-  let with_pricing pricing =
-    {
-      Ebf.default_options with
-      Ebf.lp_params =
-        { Ebf.default_options.Ebf.lp_params with Simplex.pricing = pricing };
-    }
-  in
-  (* the fast-path configuration the PR 3 acceptance compares against the
-     frozen PR 2 trajectory: devex pricing + long-step ratio test +
-     cross-round warm starts *)
-  let fast_path =
-    {
-      Ebf.default_options with
-      Ebf.lp_params =
-        {
-          Ebf.default_options.Ebf.lp_params with
-          Simplex.pricing = Simplex.Devex;
-          bound_flips = true;
-          warm_start = true;
-        };
-    }
-  in
-  (* the PR 2 engine configuration (partial pricing, classic ratio test,
-     refactorise between rounds), for an apples-to-apples iteration count
-     on the current code *)
+  (* the baseline engine configuration: classic dual ratio test and a
+     refactorisation between rounds, so the delta to "ebf lazy LP" is
+     what bound flips and cross-round warm starts save *)
   let pr2_baseline =
     {
       Ebf.default_options with
@@ -202,8 +180,7 @@ let timing_tests ?(seed = 0) () =
       Ebf.lp_params =
         {
           Ebf.default_options.Ebf.lp_params with
-          Simplex.pricing = Simplex.Partial;
-          bound_flips = false;
+          Simplex.bound_flips = false;
           warm_start = false;
         };
     }
@@ -263,21 +240,11 @@ let timing_tests ?(seed = 0) () =
       (Test.make ~name:"ebf lazy LP (certified)"
          (Staged.stage (fun () -> ignore (Ebf.solve ~options:certified inst topo))))
       (fun () -> Ebf.solve ~options:certified inst topo);
-    lp "ebf lazy LP (full pricing)"
-      (Test.make ~name:"ebf lazy LP (full pricing)"
-         (Staged.stage (fun () ->
-              ignore (Ebf.solve ~options:(with_pricing Simplex.Dantzig) inst topo))))
-      (fun () -> Ebf.solve ~options:(with_pricing Simplex.Dantzig) inst topo);
     lp "ebf lazy LP (pr2 baseline)"
       (Test.make ~name:"ebf lazy LP (pr2 baseline)"
          (Staged.stage (fun () ->
               ignore (Ebf.solve ~options:pr2_baseline inst topo))))
       (fun () -> Ebf.solve ~options:pr2_baseline inst topo);
-    lp "ebf lazy LP (devex+flips+warm)"
-      (Test.make ~name:"ebf lazy LP (devex+flips+warm)"
-         (Staged.stage (fun () ->
-              ignore (Ebf.solve ~options:fast_path inst topo))))
-      (fun () -> Ebf.solve ~options:fast_path inst topo);
     lp "ebf eco re-solve (cold)"
       (Test.make ~name:"ebf eco re-solve (cold)"
          (Staged.stage (fun () -> ignore (Ebf.solve eco_edited topo))))

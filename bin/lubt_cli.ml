@@ -262,7 +262,7 @@ let print_solver_stats (ebf : Ebf.result) =
     ebf.Ebf.round_stats
 
 let solve inst_path topo_path eager stats certify time_limit fault_seed
-    pricing no_warm_start json trace convergence cache_dir no_cache log_level =
+    no_warm_start json trace convergence cache_dir no_cache log_level =
   Log.set_level log_level;
   if trace <> None then Trace.start ();
   let conv_sink =
@@ -324,7 +324,6 @@ let solve inst_path topo_path eager stats certify time_limit fault_seed
         (match fault_seed with
         | Some seed -> Some (Simplex.fault_plan seed)
         | None -> None);
-      pricing;
       warm_start = not no_warm_start;
     }
   in
@@ -440,25 +439,6 @@ let solve_cmd =
              refactorisations, perturbed ftrans, zero pivots) seeded by \
              SEED, to exercise the recovery ladder. Testing only.")
   in
-  let pricing =
-    let rule =
-      Arg.enum
-        [
-          ("dantzig", Simplex.Dantzig);
-          ("partial", Simplex.Partial);
-          ("devex", Simplex.Devex);
-        ]
-    in
-    Arg.(
-      value
-      & opt rule Ebf.default_options.Ebf.lp_params.Simplex.pricing
-      & info [ "pricing" ] ~docv:"RULE"
-          ~doc:
-            "Simplex pricing rule: $(b,dantzig) (full most-negative scan), \
-             $(b,partial) (candidate-list partial pricing) or $(b,devex) \
-             (reference-framework weights). All reach the same optimum; \
-             only the pivot order differs.")
-  in
   let no_warm_start =
     Arg.(
       value & flag
@@ -505,7 +485,7 @@ let solve_cmd =
     (Cmd.info "solve" ~doc:"Solve the LUBT problem (EBF + embedding)")
     Term.(
       const solve $ inst_path $ topo_path $ eager $ stats $ certify
-      $ time_limit $ fault_seed $ pricing $ no_warm_start $ json $ trace
+      $ time_limit $ fault_seed $ no_warm_start $ json $ trace
       $ convergence $ cache_dir_t $ no_cache_t $ log_level_t)
 
 (* ------------------------------------------------------------------ *)

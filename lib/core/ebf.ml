@@ -46,7 +46,7 @@ let default_options =
     warm_start = true;
     cache = None;
     probe = None;
-    lp_params = { Simplex.default_params with Simplex.sparse_basis = true };
+    lp_params = Simplex.default_params;
   }
 
 type cache_outcome =

@@ -111,22 +111,19 @@ let json_float f =
 
 let recoveries_json (r : Simplex.recoveries) =
   Printf.sprintf
-    "{\"refactor_retries\": %d, \"backend_switches\": %d, \
-     \"tolerance_escalations\": %d, \"perturbed_resolves\": %d, \
-     \"tableau_fallbacks\": %d, \"faults_injected\": %d, \
-     \"validations_rejected\": %d}"
-    r.Simplex.refactor_retries r.Simplex.backend_switches
-    r.Simplex.tolerance_escalations r.Simplex.perturbed_resolves
-    r.Simplex.tableau_fallbacks r.Simplex.faults_injected
-    r.Simplex.validations_rejected
+    "{\"refactor_retries\": %d, \"tolerance_escalations\": %d, \
+     \"perturbed_resolves\": %d, \"tableau_fallbacks\": %d, \
+     \"faults_injected\": %d, \"validations_rejected\": %d}"
+    r.Simplex.refactor_retries r.Simplex.tolerance_escalations
+    r.Simplex.perturbed_resolves r.Simplex.tableau_fallbacks
+    r.Simplex.faults_injected r.Simplex.validations_rejected
 
 let solver_stats_json (s : Simplex.stats) =
   Printf.sprintf
     "{\"iterations\": %d, \"phase1_iterations\": %d, \
      \"phase2_iterations\": %d, \"dual_iterations\": %d, \
      \"bound_flips\": %d, \"full_pricing_scans\": %d, \
-     \"partial_pricing_scans\": %d, \"ftran_count\": %d, \
-     \"btran_count\": %d, \"hyper_sparse_ftrans\": %d, \
+     \"ftran_count\": %d, \"btran_count\": %d, \"hyper_sparse_ftrans\": %d, \
      \"hyper_sparse_btrans\": %d, \"basis_updates\": %d, \
      \"basis_extensions\": %d, \"refactorisations\": %d, \
      \"degenerate_pivots\": %d, \"bland_activations\": %d, \
@@ -134,8 +131,7 @@ let solver_stats_json (s : Simplex.stats) =
      \"recoveries\": %s}"
     s.Simplex.iterations s.Simplex.phase1_iterations
     s.Simplex.phase2_iterations s.Simplex.dual_iterations
-    s.Simplex.bound_flips s.Simplex.full_pricing_scans
-    s.Simplex.partial_pricing_scans s.Simplex.ftran_count
+    s.Simplex.bound_flips s.Simplex.full_pricing_scans s.Simplex.ftran_count
     s.Simplex.btran_count s.Simplex.hyper_sparse_ftrans
     s.Simplex.hyper_sparse_btrans s.Simplex.basis_updates
     s.Simplex.basis_extensions s.Simplex.refactorisations

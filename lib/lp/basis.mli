@@ -3,14 +3,13 @@
     operators — one sparse eta per pivot since the last refactorisation,
     and one border extension per row appended without refactorising.
 
-    Replaces the explicit dense inverse: ftran/btran cost O(nnz + trail)
-    instead of O(m^2), and refactorisation costs a sparse LU instead of
-    O(m^3). Right-hand sides whose density (over the LU prefix) falls
-    below a cutover take the hyper-sparse Gilbert-Peierls kernels in
-    {!Lu} instead of the dense triangular solves; the counters record how
-    often that happens. The simplex engine can run on either backend
-    ({!Simplex.params}[.sparse_basis]); results agree to numerical
-    tolerance.
+    This is the simplex engine's only basis representation; there is no
+    explicit inverse. ftran/btran cost O(nnz + trail) instead of O(m^2),
+    and refactorisation costs a sparse LU instead of O(m^3). Right-hand
+    sides whose density (over the LU prefix) falls below a cutover take
+    the hyper-sparse Gilbert-Peierls kernels in {!Lu} instead of the
+    dense triangular solves; the counters record how often that
+    happens.
 
     A [t] shares the not-reentrant workspace of its {!Lu.t}: the solves
     below write into caller-supplied arrays and allocate nothing, so one
@@ -32,9 +31,8 @@ type counters = {
 (** Cumulative operation counters. A counters record outlives individual
     basis factorisations: pass the same record to successive {!create}
     calls (as the simplex engine does across refactorisations) to
-    accumulate a whole solve's linear-algebra traffic. The engine's dense
-    explicit-inverse backend increments the same record at its own
-    call sites, so {!Simplex.stats} reads one source of truth. *)
+    accumulate a whole solve's linear-algebra traffic; {!Simplex.stats}
+    reads its counters from that one record. *)
 
 val fresh_counters : unit -> counters
 (** A zeroed counters record. *)

@@ -296,12 +296,6 @@ let solve_transpose t c x =
   done;
   Array.fill w 0 n 0.0
 
-let inverse_column t j =
-  let b = Array.make t.n 0.0 in
-  b.(j) <- 1.0;
-  solve t b b;
-  b
-
 (* ---- hyper-sparse solves (Gilbert-Peierls symbolic reach) ----
 
    All four triangular passes have dependency edges that are monotone in

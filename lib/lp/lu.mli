@@ -13,10 +13,9 @@
 
     {b Not reentrant.} A factorisation owns the workspace its solves run
     in (a dense scratch column, the reach stamps and stacks), allocated
-    once by {!factor} so that every solve but {!inverse_column} allocates
-    nothing. Two
-    solves on the same [t] must therefore never run at the same time;
-    distinct factorisations are independent. *)
+    once by {!factor} so that no solve allocates. Two solves on the same
+    [t] must therefore never run at the same time; distinct
+    factorisations are independent. *)
 
 type t
 
@@ -59,10 +58,6 @@ val solve : t -> float array -> float array -> unit
 val solve_transpose : t -> float array -> float array -> unit
 (** [solve_transpose t c x] writes [x] with [A^T x = c]; [c] is indexed
     by columns, [x] by rows. [x] may be [c] itself. *)
-
-val inverse_column : t -> int -> float array
-(** [inverse_column t j] is the [j]-th column of [A^-1] (a unit-vector
-    solve). *)
 
 val solve_sparse : t -> float array -> int array -> int -> float array -> unit
 (** Hyper-sparse variant of {!solve}: [solve_sparse t b bi nb x]

@@ -34,8 +34,19 @@ let grow_rows t =
     t.row_names <- names
   end
 
+(* Bounds may be infinite only on their own side; NaN fails [lo <= up]. *)
+let check_bounds what lo up =
+  if not (lo <= up) then invalid_arg (what ^ ": lo > up");
+  if lo = infinity then invalid_arg (what ^ ": lower bound is +inf");
+  if up = neg_infinity then invalid_arg (what ^ ": upper bound is -inf")
+
+let check_finite what v =
+  if not (Float.is_finite v) then
+    invalid_arg (Printf.sprintf "%s: non-finite value %g" what v)
+
 let add_var ?(lo = 0.0) ?(up = infinity) ?(obj = 0.0) ?(name = "") t =
-  if not (lo <= up) then invalid_arg "Problem.add_var: lo > up";
+  check_bounds "Problem.add_var" lo up;
+  check_finite "Problem.add_var: objective" obj;
   grow_cols t;
   let j = t.ncols in
   t.cols.(j) <- { lo; up; obj; vname = name };
@@ -43,7 +54,8 @@ let add_var ?(lo = 0.0) ?(up = infinity) ?(obj = 0.0) ?(name = "") t =
   j
 
 let add_row ?(name = "") t ~lo ~up coeffs =
-  if not (lo <= up) then invalid_arg "Problem.add_row: lo > up";
+  check_bounds "Problem.add_row" lo up;
+  List.iter (fun (_, a) -> check_finite "Problem.add_row: coefficient" a) coeffs;
   let sp = Sparse.of_assoc coeffs in
   if Sparse.max_index sp >= t.ncols then
     invalid_arg "Problem.add_row: coefficient refers to an unknown variable";
@@ -56,6 +68,7 @@ let add_row ?(name = "") t ~lo ~up coeffs =
 
 let set_obj t j c =
   assert (j >= 0 && j < t.ncols);
+  check_finite "Problem.set_obj" c;
   t.cols.(j).obj <- c
 
 let nvars t = t.ncols

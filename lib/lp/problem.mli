@@ -15,14 +15,19 @@ val create : unit -> t
 
 val add_var : ?lo:float -> ?up:float -> ?obj:float -> ?name:string -> t -> int
 (** Adds a column and returns its index. Defaults: [lo = 0.], [up = infinity],
-    [obj = 0.]. Requires [lo <= up]. *)
+    [obj = 0.].
+    @raise Invalid_argument unless [lo <= up], [lo < infinity],
+    [up > neg_infinity] and [obj] is finite. *)
 
 val add_row : ?name:string -> t -> lo:float -> up:float -> (int * float) list -> int
 (** Adds a row [lo <= sum coeffs <= up] and returns its index. All referenced
-    variables must already exist. Requires [lo <= up]. *)
+    variables must already exist.
+    @raise Invalid_argument unless [lo <= up], [lo < infinity],
+    [up > neg_infinity] and every coefficient is finite. *)
 
 val set_obj : t -> int -> float -> unit
-(** Changes the objective coefficient of a column. *)
+(** Changes the objective coefficient of a column.
+    @raise Invalid_argument if it is not finite. *)
 
 val nvars : t -> int
 

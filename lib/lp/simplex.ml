@@ -1,7 +1,5 @@
 type vstat = Basic of int | At_lower | At_upper | Free_zero
 
-type pricing = Dantzig | Partial | Devex
-
 type fault_kind = Fault_singular_refactor | Fault_perturb_ftran | Fault_zero_pivot
 
 type fault = {
@@ -17,19 +15,12 @@ let fault_plan ?(kinds = [ Fault_singular_refactor; Fault_perturb_ftran; Fault_z
 
 type recovery_stage =
   | Refactor_retry
-  | Switch_backend
   | Tighten_pivot_tol
   | Perturb_and_resolve
   | Tableau_fallback
 
 let default_recovery =
-  [
-    Refactor_retry;
-    Switch_backend;
-    Tighten_pivot_tol;
-    Perturb_and_resolve;
-    Tableau_fallback;
-  ]
+  [ Refactor_retry; Tighten_pivot_tol; Perturb_and_resolve; Tableau_fallback ]
 
 type params = {
   max_iters : int;
@@ -38,8 +29,6 @@ type params = {
   tol_dual : float;
   tol_pivot : float;
   refactor_every : int;
-  sparse_basis : bool;
-  pricing : pricing;
   bound_flips : bool;
   warm_start : bool;
   bland_threshold : int;
@@ -55,8 +44,6 @@ let default_params =
     tol_dual = 1e-9;
     tol_pivot = 1e-9;
     refactor_every = 100;
-    sparse_basis = false;
-    pricing = Partial;
     bound_flips = true;
     warm_start = true;
     bland_threshold = 1000;
@@ -81,7 +68,6 @@ type probe = probe_event -> unit
 
 type recoveries = {
   refactor_retries : int;
-  backend_switches : int;
   tolerance_escalations : int;
   perturbed_resolves : int;
   tableau_fallbacks : int;
@@ -92,7 +78,6 @@ type recoveries = {
 let no_recoveries =
   {
     refactor_retries = 0;
-    backend_switches = 0;
     tolerance_escalations = 0;
     perturbed_resolves = 0;
     tableau_fallbacks = 0;
@@ -101,8 +86,8 @@ let no_recoveries =
   }
 
 let recovery_attempts r =
-  r.refactor_retries + r.backend_switches + r.tolerance_escalations
-  + r.perturbed_resolves + r.tableau_fallbacks
+  r.refactor_retries + r.tolerance_escalations + r.perturbed_resolves
+  + r.tableau_fallbacks
 
 type stats = {
   iterations : int;
@@ -111,7 +96,6 @@ type stats = {
   dual_iterations : int;
   bound_flips : int;
   full_pricing_scans : int;
-  partial_pricing_scans : int;
   ftran_count : int;
   btran_count : int;
   hyper_sparse_ftrans : int;
@@ -136,14 +120,12 @@ type istats = {
   mutable s_dual_iters : int;
   mutable s_flips : int;
   mutable s_full_scans : int;
-  mutable s_partial_scans : int;
   mutable s_degen : int;
   mutable s_bland : int;
   mutable s_phase1_secs : float;
   mutable s_phase2_secs : float;
   mutable s_dual_secs : float;
   mutable s_rec_refactor : int;
-  mutable s_rec_switch : int;
   mutable s_rec_tol : int;
   mutable s_rec_perturb : int;
   mutable s_rec_tableau : int;
@@ -158,14 +140,12 @@ let fresh_istats () =
     s_dual_iters = 0;
     s_flips = 0;
     s_full_scans = 0;
-    s_partial_scans = 0;
     s_degen = 0;
     s_bland = 0;
     s_phase1_secs = 0.0;
     s_phase2_secs = 0.0;
     s_dual_secs = 0.0;
     s_rec_refactor = 0;
-    s_rec_switch = 0;
     s_rec_tol = 0;
     s_rec_perturb = 0;
     s_rec_tableau = 0;
@@ -184,10 +164,10 @@ type t = {
   mutable obj : float array;
   mutable basic : int array;  (* length cap: row -> basic variable *)
   mutable vstat : vstat array;  (* length n+cap *)
-  mutable binv : float array array;  (* cap rows of length cap *)
   mutable xb : float array;  (* length cap: basic values per row *)
   mutable last_status : Status.t;
-  mutable sbasis : Basis.t option;  (* product-form backend, sparse mode *)
+  (* sparse LU + eta trail; [None] only until [of_problem] factorises *)
+  mutable sbasis : Basis.t option;
   mutable needs_factor : bool;
   (* warm-started rows were appended since the last solve: the incremental
      xb values must be refreshed from scratch before the next dual run, the
@@ -197,10 +177,9 @@ type t = {
   mutable since_refactor : int;
   mutable degen_streak : int;
   mutable bland : bool;
-  (* resilience state: the recovery ladder may move the engine off the
-     configured backend/tolerances mid-solve, so the live values are
-     mutable copies of the corresponding params fields *)
-  mutable cur_sparse : bool;
+  (* resilience state: the recovery ladder may escalate the pivot
+     tolerance mid-solve, so the live value is a mutable copy of
+     [params.tol_pivot] *)
   mutable cur_tol_pivot : float;
   mutable time_budget : float;  (* seconds per solve; infinity = none *)
   mutable deadline : float;  (* absolute, set at solve entry *)
@@ -211,14 +190,7 @@ type t = {
   frng : Lubt_util.Prng.t option;  (* fault-injection stream *)
   mutable fallback : Status.solution option;  (* Tableau_fallback result *)
   st : istats;
-  ops : Basis.counters;  (* shared with the sparse backend *)
-  (* partial-pricing candidate list: nonbasic columns that priced
-     attractively at the last full scan, revalidated before use *)
-  cand : int array;
-  cand_score : float array;
-  mutable ncand : int;
-  (* devex reference weights, length n+cap; reset to 1 on refactorisation *)
-  mutable dvx : float array;
+  ops : Basis.counters;  (* shared with every factorisation of [sbasis] *)
   (* dual simplex reduced costs d_j = c_j - a_j^T y, length n+cap, kept
      current for every non-fixed nonbasic column while [d_valid] holds:
      seeded by [dual_feasible], updated from the pivot row after each dual
@@ -325,12 +297,6 @@ let feas_tol t bound = t.p.tol_feas *. (1.0 +. abs_float bound)
 
 let dual_tol t j = t.p.tol_dual *. (1.0 +. abs_float t.obj.(j))
 
-(* ------------------------------------------------------------------ *)
-(* Linear algebra on the explicit basis inverse                        *)
-(* ------------------------------------------------------------------ *)
-
-let sparse_mode t = t.cur_sparse
-
 (* Monotonic by construction: a wall-clock step (NTP slew, manual reset)
    must neither fire a spurious Time_limit nor disable the budget. *)
 let out_of_time t = t.deadline < infinity && Clock.now () > t.deadline
@@ -356,36 +322,20 @@ let fault_fires t kind =
     else false
   | _ -> false
 
-(* w <- B^-1 A_j *)
+(* ------------------------------------------------------------------ *)
+(* Linear algebra on the factorised basis                              *)
+(* ------------------------------------------------------------------ *)
+
+let basis t =
+  match t.sbasis with
+  | Some sb -> sb
+  | None -> invalid_arg "Simplex: basis not factorised"
+
+(* w <- B^-1 A_j. The column goes over sparse: single-entry auxiliary
+   columns and short structural columns take the hyper-sparse kernels. *)
 let ftran t q =
   let tr0 = tr_start () in
-  if sparse_mode t then begin
-    match t.sbasis with
-    | None -> invalid_arg "ftran: basis not factorised"
-    | Some sb ->
-      (* hand the column over sparse: single-entry auxiliary columns and
-         short structural columns take the hyper-sparse kernels *)
-      Basis.ftran_sparse sb (column t q) t.w
-  end
-  else begin
-  t.ops.Basis.ftrans <- t.ops.Basis.ftrans + 1;
-  let w = t.w and m = t.m in
-  if q < t.n then begin
-    let col = t.cols.(q) in
-    for r = 0 to m - 1 do
-      let br = t.binv.(r) in
-      let acc = ref 0.0 in
-      Sparse.iter (fun i a -> acc := !acc +. (a *. br.(i))) col;
-      w.(r) <- !acc
-    done
-  end
-  else begin
-    let i = q - t.n in
-    for r = 0 to m - 1 do
-      w.(r) <- -.t.binv.(r).(i)
-    done
-  end
-  end;
+  Basis.ftran_sparse (basis t) (column t q) t.w;
   if t.m > 0 && fault_fires t Fault_perturb_ftran then begin
     match t.frng with
     | Some rng ->
@@ -397,30 +347,11 @@ let ftran t q =
   end;
   tr_stop tr0 "simplex.ftran"
 
-(* y <- (B^-1)^T cb, skipping zero cost rows (phase I has very few). *)
+(* y <- (B^-1)^T cb *)
 let compute_y t cb =
   let tr0 = tr_start () in
-  if sparse_mode t then begin
-    match t.sbasis with
-    | None -> invalid_arg "compute_y: basis not factorised"
-    | Some sb ->
-      Array.blit cb 0 t.y 0 t.m;
-      Basis.btran sb t.y
-  end
-  else begin
-  t.ops.Basis.btrans <- t.ops.Basis.btrans + 1;
-  let y = t.y and m = t.m in
-  Array.fill y 0 m 0.0;
-  for r = 0 to m - 1 do
-    let c = cb.(r) in
-    if c <> 0.0 then begin
-      let br = t.binv.(r) in
-      for i = 0 to m - 1 do
-        y.(i) <- y.(i) +. (c *. br.(i))
-      done
-    end
-  done
-  end;
+  Array.blit cb 0 t.y 0 t.m;
+  Basis.btran (basis t) t.y;
   tr_stop tr0 "simplex.btran"
 
 let fill_cb_phase2 t =
@@ -523,37 +454,21 @@ let recompute_xb t =
       let v = nonbasic_value t j in
       if v <> 0.0 then col_iter t j (fun i a -> s.(i) <- s.(i) +. (a *. v))
   done;
-  if sparse_mode t then begin
-    match t.sbasis with
-    | None -> invalid_arg "recompute_xb: basis not factorised"
-    | Some sb ->
-      Basis.ftran sb s;
-      for r = 0 to m - 1 do
-        t.xb.(r) <- -.s.(r)
-      done
-  end
-  else begin
-    t.ops.Basis.ftrans <- t.ops.Basis.ftrans + 1;
-    for r = 0 to m - 1 do
-      let br = t.binv.(r) in
-      let acc = ref 0.0 in
-      for i = 0 to m - 1 do
-        acc := !acc +. (br.(i) *. s.(i))
-      done;
-      t.xb.(r) <- -. !acc
-    done
-  end
+  Basis.ftran (basis t) s;
+  for r = 0 to m - 1 do
+    t.xb.(r) <- -.s.(r)
+  done
 
-(* Rebuild B^-1 from the basis: sparse LU factorisation (basis matrices of
-   path-structured LPs are very sparse), then one unit solve per column of
-   the inverse. Falls back on nothing — a singular basis is a hard
-   numerical error handled by the driver. *)
 let basis_columns t = Array.init t.m (fun k -> column t t.basic.(k))
 
 (* LU pivot threshold scaled with the (possibly escalated) simplex pivot
    tolerance, never looser than the Lu.factor default. *)
 let lu_pivot_tol t = max 1e-11 (t.cur_tol_pivot *. 1e-2)
 
+(* Refactorise the basis from scratch: a sparse LU (basis matrices of
+   path-structured LPs are very sparse) with an empty eta trail. Falls
+   back on nothing — a singular basis is a hard numerical error handled
+   by the recovery ladder in [solve]. *)
 let refactor_run t =
   if fault_fires t Fault_singular_refactor then
     raise (Numerical "fault injection: forced singular refactorisation");
@@ -566,42 +481,14 @@ let refactor_run t =
   (* the reduced costs restart from the fresh factorisation too, so their
      update rounding never accumulates past one refactor interval *)
   t.d_valid <- false;
-  (* devex weights reference the basis representation they were accumulated
-     against; a fresh factorisation restarts the reference framework *)
-  Array.fill t.dvx 0 (Array.length t.dvx) 1.0;
-  if sparse_mode t then begin
-    (match Basis.create ~counters:t.ops ~pivot_tol:(lu_pivot_tol t) (basis_columns t) with
-    | sb ->
-      t.sbasis <- Some sb;
-      t.needs_factor <- false
-    | exception Lu.Singular j ->
-      raise (Numerical (Printf.sprintf "refactor: singular basis (column %d)" j)));
-    t.since_refactor <- 0;
-    recompute_xb t
-  end
-  else begin
-  t.ops.Basis.factorisations <- t.ops.Basis.factorisations + 1;
-  let m = t.m in
-  let cols = basis_columns t in
-  let lu =
-    match Lu.factor ~pivot_tol:(lu_pivot_tol t) cols with
-    | lu -> lu
-    | exception Lu.Singular j ->
-      raise (Numerical (Printf.sprintf "refactor: singular basis (column %d)" j))
-  in
-  for j = 0 to m - 1 do
-    let col = Lu.inverse_column lu j in
-    for r = 0 to m - 1 do
-      t.binv.(r).(j) <- col.(r)
-    done
-  done;
-  (* clear any stale tail beyond m (capacity area) *)
-  for r = 0 to m - 1 do
-    Array.fill t.binv.(r) m (t.cap - m) 0.0
-  done;
+  (match Basis.create ~counters:t.ops ~pivot_tol:(lu_pivot_tol t) (basis_columns t) with
+  | sb ->
+    t.sbasis <- Some sb;
+    t.needs_factor <- false
+  | exception Lu.Singular j ->
+    raise (Numerical (Printf.sprintf "refactor: singular basis (column %d)" j)));
   t.since_refactor <- 0;
   recompute_xb t
-  end
 
 (* [Trace.span] (rather than the complete-event idiom) so a singular
    factorisation still closes the span on the raise path. *)
@@ -614,17 +501,11 @@ let refactor t =
    costs more than a fresh solve would, so dragging it further is pure
    loss (and compounding rounding). *)
 let trail_heavy t =
-  sparse_mode t
-  &&
-  match t.sbasis with
-  | Some sb -> Basis.trail_nnz sb > Basis.lu_nnz sb
-  | None -> false
+  let sb = basis t in
+  Basis.trail_nnz sb > Basis.lu_nnz sb
 
 let maybe_refactor t =
-  if
-    t.since_refactor >= t.p.refactor_every
-    || (sparse_mode t && (t.needs_factor || t.sbasis = None))
-  then refactor t
+  if t.since_refactor >= t.p.refactor_every || t.needs_factor then refactor t
 
 let check_consistency t =
   let saved = Array.sub t.xb 0 t.m in
@@ -658,185 +539,39 @@ let attractiveness t ~cost j =
     else if d > dual_tol t j then Some (d, -1.0)
     else None
 
-(* Offers column [j] with [score] to the candidate list, displacing the
-   weakest entry when full. Scores are a selection heuristic only — they go
-   stale as the basis moves and every candidate is repriced before use. *)
-let cand_offer t j score =
-  let cap = Array.length t.cand in
-  if t.ncand < cap then begin
-    t.cand.(t.ncand) <- j;
-    t.cand_score.(t.ncand) <- score;
-    t.ncand <- t.ncand + 1
-  end
-  else begin
-    let weakest = ref 0 in
-    for k = 1 to cap - 1 do
-      if t.cand_score.(k) < t.cand_score.(!weakest) then weakest := k
-    done;
-    if score > t.cand_score.(!weakest) then begin
-      t.cand.(!weakest) <- j;
-      t.cand_score.(!weakest) <- score
-    end
-  end
-
-(* Pricing score of an attractive column with reduced cost [d]: Dantzig and
-   partial use |d|; devex uses the reference-framework measure d^2 / w_j,
-   which approximates the steepest-edge criterion at eta-update cost. *)
-let score_of t j d =
-  match t.p.pricing with
-  | Devex ->
-    let w = t.dvx.(j) in
-    d *. d /. (if w >= 1.0 then w else 1.0)
-  | Dantzig | Partial -> abs_float d
-
-(* Full scan over all n+m columns. Refills the candidate list as a
-   side effect (except in Bland mode, where the first eligible index wins
-   and candidate quality is irrelevant). *)
-let price_full t ~cost =
+(* Dantzig pricing: a full scan of all n+m columns for the largest |d_j|
+   (ties to the lowest index). In Bland mode the first eligible index
+   wins instead. Returns (q, sigma, |d_q|). *)
+let price t ~cost =
   let tr0 = tr_start () in
   t.st.s_full_scans <- t.st.s_full_scans + 1;
   let best = ref None in
-  let total = t.n + t.m in
-  if t.bland then (
-    try
-      for j = 0 to total - 1 do
-        match attractiveness t ~cost j with
-        | Some (d, sigma) ->
-          best := Some (j, sigma, abs_float d);
-          raise Exit
-        | None -> ()
-      done
-    with Exit -> ())
-  else begin
-    t.ncand <- 0;
-    for j = 0 to total - 1 do
-      match attractiveness t ~cost j with
-      | None -> ()
-      | Some (d, sigma) ->
-        let score = score_of t j d in
-        (match !best with
-        | Some (_, _, s) when s >= score -> ()
-        | _ -> best := Some (j, sigma, score));
-        cand_offer t j score
-    done
-  end;
-  tr_stop tr0 "simplex.price_full";
+  (try
+     for j = 0 to t.n + t.m - 1 do
+       match attractiveness t ~cost j with
+       | None -> ()
+       | Some (d, sigma) -> (
+         let score = abs_float d in
+         match !best with
+         | Some (_, _, s) when s >= score -> ()
+         | _ ->
+           best := Some (j, sigma, score);
+           if t.bland then raise Exit)
+     done
+   with Exit -> ());
+  tr_stop tr0 "simplex.price";
   !best
-
-(* Scan only the candidate list, dropping entries that no longer price
-   attractively. Sound because every candidate is revalidated against the
-   current multipliers: a winner here is a legal entering column, and
-   optimality is only ever declared by a full scan. *)
-let price_partial t ~cost =
-  t.st.s_partial_scans <- t.st.s_partial_scans + 1;
-  let best = ref None in
-  let k = ref 0 in
-  while !k < t.ncand do
-    let j = t.cand.(!k) in
-    match attractiveness t ~cost j with
-    | None ->
-      t.ncand <- t.ncand - 1;
-      t.cand.(!k) <- t.cand.(t.ncand);
-      t.cand_score.(!k) <- t.cand_score.(t.ncand)
-    | Some (d, sigma) ->
-      let score = score_of t j d in
-      t.cand_score.(!k) <- score;
-      (match !best with
-      | Some (_, _, s) when s >= score -> ()
-      | _ -> best := Some (j, sigma, score));
-      incr k
-  done;
-  !best
-
-(* Chooses an entering variable given reduced costs derived from t.y and the
-   supplied per-variable cost function. Returns (q, sigma, d_q). *)
-let price t ~cost =
-  match t.p.pricing with
-  | Dantzig -> price_full t ~cost
-  | Partial | Devex ->
-    if t.bland then price_full t ~cost
-    else begin
-      match price_partial t ~cost with
-      | Some _ as r -> r
-      | None -> price_full t ~cost
-    end
 
 (* ------------------------------------------------------------------ *)
 (* Pivoting                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Rank-1 update of B^-1 after variable q (with ftran result in t.w)
+(* Eta update of the basis after variable q (with ftran result in t.w)
    replaces the basic variable of row r. *)
-let update_binv t r =
+let update_basis t r =
   if fault_fires t Fault_zero_pivot then
     raise (Basis.Zero_pivot { row = r; magnitude = 0.0 });
-  if sparse_mode t then begin
-    match t.sbasis with
-    | None -> invalid_arg "update_binv: basis not factorised"
-    | Some sb -> Basis.update ~tol:t.cur_tol_pivot sb r t.w
-  end
-  else begin
-  let m = t.m and w = t.w in
-  let alpha = w.(r) in
-  if abs_float alpha < t.cur_tol_pivot then
-    raise (Basis.Zero_pivot { row = r; magnitude = abs_float alpha });
-  t.ops.Basis.updates <- t.ops.Basis.updates + 1;
-  let br = t.binv.(r) in
-  let d = 1.0 /. alpha in
-  for i = 0 to m - 1 do
-    br.(i) <- br.(i) *. d
-  done;
-  for r' = 0 to m - 1 do
-    if r' <> r then begin
-      let f = w.(r') in
-      if f <> 0.0 then begin
-        let row = t.binv.(r') in
-        for i = 0 to m - 1 do
-          row.(i) <- row.(i) -. (f *. br.(i))
-        done
-      end
-    end
-  done
-  end
-
-(* Devex reference-framework weight update after a pivot in row [r] with
-   entering column [q]; [t.rho] must hold the PRE-pivot row [r] of B^-1 and
-   [t.w] the ftran of [q]. Weights are maintained lazily: only the entering
-   column, the leaving variable and the current candidate list are touched
-   (the full devex recurrence needs alpha_j for every nonbasic j, which
-   would cost a dense pass; stale weights elsewhere only make the score an
-   underestimate, and {!refactor} resets the framework anyway). *)
-let devex_update_with_rho t ~q ~r =
-  let alpha_q = t.w.(r) in
-  if abs_float alpha_q > t.cur_tol_pivot then begin
-    let wq = max t.dvx.(q) 1.0 in
-    let ratio2 = wq /. (alpha_q *. alpha_q) in
-    for k = 0 to t.ncand - 1 do
-      let j = t.cand.(k) in
-      if j <> q then begin
-        match t.vstat.(j) with
-        | Basic _ -> ()
-        | At_lower | At_upper | Free_zero ->
-          let aj = col_dot t j t.rho in
-          if aj <> 0.0 then begin
-            let w' = aj *. aj *. ratio2 in
-            if w' > t.dvx.(j) then t.dvx.(j) <- w'
-          end
-      end
-    done;
-    let leaving = t.basic.(r) in
-    t.dvx.(leaving) <- max ratio2 1.0
-  end
-
-(* Primal pivots have no rho at hand; fetch the pre-pivot row of B^-1. *)
-let devex_update_primal t ~q ~r =
-  (if sparse_mode t then begin
-     match t.sbasis with
-     | None -> invalid_arg "devex: basis not factorised"
-     | Some sb -> Basis.btran_unit sb r t.rho
-   end
-   else Array.blit t.binv.(r) 0 t.rho 0 t.m);
-  devex_update_with_rho t ~q ~r
+  Basis.update ~tol:t.cur_tol_pivot (basis t) r t.w
 
 type blocking = Flip | Block of { row : int; to_upper : bool }
 
@@ -860,13 +595,10 @@ let apply_primal_pivot t ~q ~sigma ~step ~blocking =
         | Basic _ | Free_zero -> invalid_arg "flip of non-bounded variable");
       -1
     | Block { row = r; to_upper } ->
-      (* devex needs the pre-pivot basis; weights are heuristic state, so
-         mutating them before a possible Zero_pivot raise is harmless *)
-      if t.p.pricing = Devex then devex_update_primal t ~q ~r;
       (* update the basis representation first: it raises on a bad pivot
          before mutating anything, keeping vstat/basic/xb consistent for the
          recovery ladder *)
-      update_binv t r;
+      update_basis t r;
       for r' = 0 to t.m - 1 do
         if r' <> r then t.xb.(r') <- t.xb.(r') -. (sigma *. step *. w.(r'))
       done;
@@ -875,9 +607,6 @@ let apply_primal_pivot t ~q ~sigma ~step ~blocking =
       t.basic.(r) <- q;
       t.vstat.(q) <- Basic r;
       t.xb.(r) <- q_new;
-      (* the just-ejected variable tends to price attractively again soon:
-         seed it into the candidate list *)
-      if t.p.pricing <> Dantzig then cand_offer t leaving 0.0;
       leaving
   in
   t.iters <- t.iters + 1;
@@ -1078,15 +807,7 @@ let refresh_reduced_costs t =
 (* Row r of B^-1 into t.rho. *)
 let pivot_row t r =
   let tr0 = tr_start () in
-  (if sparse_mode t then begin
-     match t.sbasis with
-     | None -> invalid_arg "dual: basis not factorised"
-     | Some sb -> Basis.btran_unit sb r t.rho
-   end
-   else begin
-     t.ops.Basis.btrans <- t.ops.Basis.btrans + 1;
-     Array.blit t.binv.(r) 0 t.rho 0 t.m
-   end);
+  Basis.btran_unit (basis t) r t.rho;
   tr_stop tr0 "simplex.btran"
 
 (* Moves the planned flips to their opposite bounds and updates the basic
@@ -1111,26 +832,10 @@ let apply_flips t flips =
       col_iter t j (fun i a -> acc.(i) <- acc.(i) +. (a *. dx));
       t.st.s_flips <- t.st.s_flips + 1)
     flips;
-  (if sparse_mode t then begin
-     match t.sbasis with
-     | None -> invalid_arg "dual: basis not factorised"
-     | Some sb ->
-       Basis.ftran sb acc;
-       for r' = 0 to t.m - 1 do
-         t.xb.(r') <- t.xb.(r') -. acc.(r')
-       done
-   end
-   else begin
-     t.ops.Basis.ftrans <- t.ops.Basis.ftrans + 1;
-     for r' = 0 to t.m - 1 do
-       let br = t.binv.(r') in
-       let sum = ref 0.0 in
-       for i = 0 to t.m - 1 do
-         sum := !sum +. (br.(i) *. acc.(i))
-       done;
-       t.xb.(r') <- t.xb.(r') -. !sum
-     done
-   end);
+  Basis.ftran (basis t) acc;
+  for r' = 0 to t.m - 1 do
+    t.xb.(r') <- t.xb.(r') -. acc.(r')
+  done;
   tr_stop tr0 "simplex.flips"
 
 (* Entry contract: a [dual_feasible] that returned [true] has just seeded
@@ -1244,11 +949,9 @@ let dual_simplex t =
             raise (Numerical "dual simplex: tiny pivot");
           let dq = (t.xb.(r) -. target) /. alpha_rq in
           let q_new = value t q +. dq in
-          (* devex sees the pre-pivot rho computed for the row selection *)
-          if t.p.pricing = Devex then devex_update_with_rho t ~q ~r;
           let tr0 = tr_start () in
           (* basis update first: raises before any state mutation *)
-          update_binv t r;
+          update_basis t r;
           for r' = 0 to t.m - 1 do
             if r' <> r then t.xb.(r') <- t.xb.(r') -. (dq *. t.w.(r'))
           done;
@@ -1267,7 +970,6 @@ let dual_simplex t =
           t.vstat.(q) <- Basic r;
           t.xb.(r) <- q_new;
           tr_stop tr0 "simplex.update";
-          if t.p.pricing <> Dantzig then cand_offer t b 0.0;
           t.iters <- t.iters + 1;
           t.since_refactor <- t.since_refactor + 1;
           fire_probe t ~entering:q ~leaving:b ();
@@ -1315,19 +1017,6 @@ let grow_arrays t needed_cap =
     let vs = Array.make (t.n + ncap) Free_zero in
     Array.blit t.vstat 0 vs 0 (t.n + t.m);
     t.vstat <- vs;
-    (* fresh devex slots start at the reference weight, not 0 *)
-    let dv = Array.make (t.n + ncap) 1.0 in
-    Array.blit t.dvx 0 dv 0 (t.n + t.m);
-    t.dvx <- dv;
-    let nbinv =
-      if t.cur_sparse then [||]
-      else
-        Array.init ncap (fun r ->
-            let row = Array.make ncap 0.0 in
-            if r < t.m then Array.blit t.binv.(r) 0 row 0 t.m;
-            row)
-    in
-    t.binv <- nbinv;
     t.cap <- ncap
   end
 
@@ -1364,15 +1053,6 @@ let of_problem ?(params = default_params) prob =
     basic.(i) <- n + i;
     vstat.(n + i) <- Basic i
   done;
-  let binv =
-    if params.sparse_basis then [||]
-    else
-      Array.init cap (fun r ->
-          let row = Array.make cap 0.0 in
-          if r < m then row.(r) <- -1.0;
-          row)
-  in
-  let cand_cap = max 8 (min 64 ((n + m + 3) / 4)) in
   let t =
     {
       n;
@@ -1385,7 +1065,6 @@ let of_problem ?(params = default_params) prob =
       obj;
       basic;
       vstat;
-      binv;
       xb = Array.make cap 0.0;
       last_status = Status.Iteration_limit;
       sbasis = None;
@@ -1395,7 +1074,6 @@ let of_problem ?(params = default_params) prob =
       since_refactor = 0;
       degen_streak = 0;
       bland = false;
-      cur_sparse = params.sparse_basis;
       cur_tol_pivot = params.tol_pivot;
       time_budget = params.time_limit;
       deadline = infinity;
@@ -1411,10 +1089,6 @@ let of_problem ?(params = default_params) prob =
       fallback = None;
       st = fresh_istats ();
       ops = Basis.fresh_counters ();
-      cand = Array.make cand_cap 0;
-      cand_score = Array.make cand_cap 0.0;
-      ncand = 0;
-      dvx = Array.make (n + cap) 1.0;
       w = Array.make cap 0.0;
       y = Array.make cap 0.0;
       rho = Array.make cap 0.0;
@@ -1426,7 +1100,7 @@ let of_problem ?(params = default_params) prob =
       a_val = Array.make (n + cap) 0.0;
     }
   in
-  if params.sparse_basis then refactor t else recompute_xb t;
+  refactor t;
   t
 
 let add_row t ~lo ~up coeffs =
@@ -1446,42 +1120,25 @@ let add_row t ~lo ~up coeffs =
       let old = t.cols.(j) in
       t.cols.(j) <- Sparse.of_assoc ((r_new, v) :: Sparse.to_assoc old))
     sp;
-  (* extend B^-1: the new basis matrix is [[B, 0], [C, -1]] whose inverse is
-     [[B^-1, 0], [C B^-1, -1]], where C holds the new row's coefficients on
-     the current basic (necessarily structural) variables. In sparse mode a
-     warm start appends the same border to the live factorisation — the
-     next solve then re-enters the dual simplex without refactorising —
-     and otherwise the factorisation is rebuilt at the next solve. *)
-  if t.cur_sparse then begin
-    match t.sbasis with
-    | Some sb when t.p.warm_start && not t.needs_factor ->
-      let border = ref [] in
-      Sparse.iter
-        (fun j v ->
-          match t.vstat.(j) with
-          | Basic k -> border := (k, v) :: !border
-          | At_lower | At_upper | Free_zero -> ())
-        sp;
-      Basis.append_row sb (Sparse.of_assoc !border);
-      t.since_refactor <- t.since_refactor + 1;
-      t.xb_stale <- true
-    | _ -> t.needs_factor <- true
-  end
-  else begin
-  let new_row = t.binv.(r_new) in
-  Array.fill new_row 0 t.cap 0.0;
-  Sparse.iter
-    (fun j v ->
-      match t.vstat.(j) with
-      | Basic k ->
-        let bk = t.binv.(k) in
-        for i = 0 to t.m - 1 do
-          new_row.(i) <- new_row.(i) +. (v *. bk.(i))
-        done
-      | At_lower | At_upper | Free_zero -> ())
-    sp;
-  new_row.(r_new) <- -1.0
-  end;
+  (* extend the basis: the new basis matrix is [[B, 0], [C, -1]], where C
+     holds the new row's coefficients on the current basic (necessarily
+     structural) variables. A warm start appends that border to the live
+     factorisation — the next solve then re-enters the dual simplex
+     without refactorising — and otherwise the factorisation is rebuilt
+     at the next solve. *)
+  (match t.sbasis with
+  | Some sb when t.p.warm_start && not t.needs_factor ->
+    let border = ref [] in
+    Sparse.iter
+      (fun j v ->
+        match t.vstat.(j) with
+        | Basic k -> border := (k, v) :: !border
+        | At_lower | At_upper | Free_zero -> ())
+      sp;
+    Basis.append_row sb (Sparse.of_assoc !border);
+    t.since_refactor <- t.since_refactor + 1;
+    t.xb_stale <- true
+  | _ -> t.needs_factor <- true);
   (* the new auxiliary variable enters the basis at the row's activity *)
   let activity =
     Sparse.fold (fun j v acc -> acc +. (v *. value t j)) sp 0.0
@@ -1574,7 +1231,7 @@ let drive t =
   end
 
 (* A solve that ends Optimal must also look optimal when checked only
-   against the original column data — never through the basis inverse,
+   against the original column data — never through the factorisation,
    which is exactly the object a numerical fault corrupts. Checks the
    equality system [A | -I] x = 0 and the bound feasibility of the basic
    values; a failure re-enters the recovery ladder. *)
@@ -1648,7 +1305,6 @@ type stage_outcome = Retry | Final of Status.t
 
 let stage_name = function
   | Refactor_retry -> "refactor_retry"
-  | Switch_backend -> "switch_backend"
   | Tighten_pivot_tol -> "tighten_pivot_tol"
   | Perturb_and_resolve -> "perturb_and_resolve"
   | Tableau_fallback -> "tableau_fallback"
@@ -1664,23 +1320,6 @@ let apply_stage t stage =
   match stage with
   | Refactor_retry ->
     t.st.s_rec_refactor <- t.st.s_rec_refactor + 1;
-    refactor t;
-    Retry
-  | Switch_backend ->
-    t.st.s_rec_switch <- t.st.s_rec_switch + 1;
-    if t.cur_sparse then begin
-      (* sparse LU + eta file -> explicit dense inverse *)
-      t.cur_sparse <- false;
-      t.sbasis <- None;
-      t.binv <- Array.init t.cap (fun _ -> Array.make t.cap 0.0)
-    end
-    else begin
-      (* dense inverse -> sparse LU *)
-      t.cur_sparse <- true;
-      t.binv <- [||];
-      t.sbasis <- None;
-      t.needs_factor <- true
-    end;
     refactor t;
     Retry
   | Tighten_pivot_tol ->
@@ -1740,8 +1379,8 @@ let solve t =
     (if t.time_budget = infinity then infinity
      else Clock.now () +. t.time_budget);
   let rec_total t =
-    t.st.s_rec_refactor + t.st.s_rec_switch + t.st.s_rec_tol
-    + t.st.s_rec_perturb + t.st.s_rec_tableau
+    t.st.s_rec_refactor + t.st.s_rec_tol + t.st.s_rec_perturb
+    + t.st.s_rec_tableau
   in
   (* entry counters, so re-solves on a live engine report deltas *)
   let m0_iters = t.iters
@@ -1770,10 +1409,10 @@ let solve t =
   let run () =
     (* a stale factorisation (rows added since the last solve) must be
        rebuilt before anything consults the basis *)
-    if sparse_mode t && (t.needs_factor || t.sbasis = None) then refactor t;
+    if t.needs_factor then refactor t;
     (* warm-started row growth skipped that rebuild; give the solve the
        same starting hygiene a refactorisation provides — exact basic
-       values and a fresh anti-cycling / devex reference state. The live
+       values and a fresh anti-cycling state. The live
        factorisation is kept unless its trail has grown heavier than the
        LU itself, in which case rebuilding now is cheaper than dragging
        the trail through the whole re-solve. *)
@@ -1783,7 +1422,6 @@ let solve t =
       else begin
         t.degen_streak <- 0;
         t.bland <- false;
-        Array.fill t.dvx 0 (Array.length t.dvx) 1.0;
         recompute_xb t
       end
     end;
@@ -1881,7 +1519,7 @@ let install_slack_basis t =
     t.basic.(i) <- t.n + i;
     t.vstat.(t.n + i) <- Basic i
   done;
-  if t.cur_sparse then t.needs_factor <- true;
+  t.needs_factor <- true;
   refactor t
 
 let install_warm_basis t wb =
@@ -1947,11 +1585,10 @@ let install_warm_basis t wb =
         wb.wb_basic;
       t.fallback <- None;
       t.last_status <- Status.Iteration_limit;
-      if t.cur_sparse then t.needs_factor <- true;
-      (* factorise now: [of_problem] only auto-refactors the sparse backend,
-         and the dense path assumes the -I start otherwise. A singular warm
-         basis is the snapshot's fault, not the engine's — reinstall the
-         all-slack basis and report the mismatch. *)
+      t.needs_factor <- true;
+      (* factorise now, so a singular warm basis surfaces here: it is the
+         snapshot's fault, not the engine's — reinstall the all-slack
+         basis and report the mismatch. *)
       (match refactor t with
       | () -> Ok ()
       | exception e -> (
@@ -2047,7 +1684,6 @@ let stats t =
     dual_iterations = t.st.s_dual_iters;
     bound_flips = t.st.s_flips;
     full_pricing_scans = t.st.s_full_scans;
-    partial_pricing_scans = t.st.s_partial_scans;
     ftran_count = t.ops.Basis.ftrans;
     btran_count = t.ops.Basis.btrans;
     hyper_sparse_ftrans = t.ops.Basis.hyper_ftrans;
@@ -2063,7 +1699,6 @@ let stats t =
     recoveries =
       {
         refactor_retries = t.st.s_rec_refactor;
-        backend_switches = t.st.s_rec_switch;
         tolerance_escalations = t.st.s_rec_tol;
         perturbed_resolves = t.st.s_rec_perturb;
         tableau_fallbacks = t.st.s_rec_tableau;
@@ -2080,7 +1715,6 @@ let zero_stats =
     dual_iterations = 0;
     bound_flips = 0;
     full_pricing_scans = 0;
-    partial_pricing_scans = 0;
     ftran_count = 0;
     btran_count = 0;
     hyper_sparse_ftrans = 0;
@@ -2099,7 +1733,6 @@ let zero_stats =
 let merge_recoveries a b =
   {
     refactor_retries = a.refactor_retries + b.refactor_retries;
-    backend_switches = a.backend_switches + b.backend_switches;
     tolerance_escalations = a.tolerance_escalations + b.tolerance_escalations;
     perturbed_resolves = a.perturbed_resolves + b.perturbed_resolves;
     tableau_fallbacks = a.tableau_fallbacks + b.tableau_fallbacks;
@@ -2115,7 +1748,6 @@ let merge_stats a b =
     dual_iterations = a.dual_iterations + b.dual_iterations;
     bound_flips = a.bound_flips + b.bound_flips;
     full_pricing_scans = a.full_pricing_scans + b.full_pricing_scans;
-    partial_pricing_scans = a.partial_pricing_scans + b.partial_pricing_scans;
     ftran_count = a.ftran_count + b.ftran_count;
     btran_count = a.btran_count + b.btran_count;
     hyper_sparse_ftrans = a.hyper_sparse_ftrans + b.hyper_sparse_ftrans;
@@ -2134,22 +1766,22 @@ let merge_stats a b =
 let pp_stats fmt s =
   Format.fprintf fmt
     "@[<v>iterations: %d (phase1 %d, phase2 %d, dual %d), bound flips: %d@,\
-     pricing scans: %d full, %d partial@,\
+     pricing scans: %d@,\
      ftran/btran: %d/%d (hyper-sparse %d/%d), basis updates: %d, \
      extensions: %d, refactorisations: %d@,\
      degenerate pivots: %d, Bland activations: %d@,\
      time: phase1 %.3fms, phase2 %.3fms, dual %.3fms"
     s.iterations s.phase1_iterations s.phase2_iterations s.dual_iterations
-    s.bound_flips s.full_pricing_scans s.partial_pricing_scans s.ftran_count
+    s.bound_flips s.full_pricing_scans s.ftran_count
     s.btran_count s.hyper_sparse_ftrans s.hyper_sparse_btrans s.basis_updates
     s.basis_extensions s.refactorisations s.degenerate_pivots
     s.bland_activations (s.phase1_seconds *. 1e3) (s.phase2_seconds *. 1e3)
     (s.dual_seconds *. 1e3);
   let r = s.recoveries in
   Format.fprintf fmt
-    "@,recoveries: %d refactor, %d backend switch, %d tolerance, %d perturb, \
-     %d tableau; faults injected: %d, validations rejected: %d"
-    r.refactor_retries r.backend_switches r.tolerance_escalations
+    "@,recoveries: %d refactor, %d tolerance, %d perturb, %d tableau; \
+     faults injected: %d, validations rejected: %d"
+    r.refactor_retries r.tolerance_escalations
     r.perturbed_resolves r.tableau_fallbacks r.faults_injected
     r.validations_rejected;
   Format.fprintf fmt "@]"

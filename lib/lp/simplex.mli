@@ -15,6 +15,13 @@
       workhorse for the EBF LPs, whose all-slack start is dual feasible,
       and for warm restarts after rows are added).
 
+    There is one basis representation, a sparse LU factorisation plus an
+    eta trail ({!Basis}), and one primal pricing rule: Dantzig's
+    largest-reduced-cost full scan, with Bland's rule as the
+    anti-cycling escape. The dual simplex (bound-flipping ratio test) does
+    almost every pivot of every workload in this repository; the primal
+    phases only finish the LPs whose starting basis is not dual feasible.
+
     Rows can be appended between solves ([add_row]); the factorised basis is
     extended in O(m x nnz) and stays dual feasible, so re-optimisation is a
     short dual-simplex run. This implements the paper's Section 4.6
@@ -32,30 +39,10 @@
     not reentrant, and it never leaves the engine. *)
 
 type t
-(** A loaded LP engine: problem snapshot, current basis (either backend),
+(** A loaded LP engine: problem snapshot, current basis and its
     factorisation, and cumulative telemetry. Create with {!of_problem};
     all mutation goes through {!solve}, {!add_row} and
     {!set_time_limit}. *)
-
-type pricing =
-  | Dantzig
-      (** classic most-negative-reduced-cost rule: a full scan of all
-          [n + m] columns on every iteration. Kept as the reference path
-          for cross-checks. *)
-  | Partial
-      (** partial pricing over a candidate list: a short list of columns
-          that priced attractively at the last full scan is repriced
-          (against the current multipliers) each iteration; a full scan
-          runs only when the list goes dry or Bland's rule engages.
-          Identical optima — only the pivot order differs. *)
-  | Devex
-      (** devex reference-framework pricing (Harris): candidates are
-          scored by [d_j^2 / w_j], where the weights [w_j] approximate
-          the steepest-edge norms and are updated from the pivot column
-          at eta-update cost. Uses the same candidate-list control flow
-          as [Partial]; the weights reset to the reference framework on
-          every refactorisation. Typically the fewest iterations on the
-          path-structured EBF programs. *)
 
 (** Where a deterministic fault is injected (testing only). *)
 type fault_kind =
@@ -87,9 +74,6 @@ val fault_plan :
 (** One rung of the numerical-recovery ladder. *)
 type recovery_stage =
   | Refactor_retry  (** rebuild the basis factorisation and retry *)
-  | Switch_backend
-      (** swap sparse LU + eta file <-> explicit dense inverse (either
-          direction) and retry *)
   | Tighten_pivot_tol
       (** escalate the pivot tolerance by 100x (capped at 1e-5), making
           the ratio tests refuse the near-zero pivots that broke the
@@ -105,7 +89,7 @@ type recovery_stage =
           zeros; see {!used_fallback}) *)
 
 val default_recovery : recovery_stage list
-(** All five stages in the order above. *)
+(** All four stages in the order above. *)
 
 type params = {
   max_iters : int;  (** 0 means choose automatically from the size *)
@@ -117,12 +101,6 @@ type params = {
   tol_dual : float;  (** reduced-cost optimality tolerance *)
   tol_pivot : float;  (** smallest acceptable pivot magnitude *)
   refactor_every : int;  (** pivots between basis refactorisations *)
-  sparse_basis : bool;
-      (** use the product-form sparse basis ({!Basis}: LU + eta file)
-          instead of the explicit dense inverse. Same results; much
-          faster and far less memory on large sparse programs (default
-          [false]) *)
-  pricing : pricing;  (** entering-variable rule (default [Partial]) *)
   bound_flips : bool;
       (** bound-flipping (long-step) dual ratio test: boxed nonbasic
           columns whose breakpoint cannot absorb the remaining primal
@@ -130,10 +108,9 @@ type params = {
           letting one dual pivot pass many breakpoints (default [true]).
           The dominant move for box-constrained edge-length variables. *)
   warm_start : bool;
-      (** keep the factorised sparse basis alive across {!add_row} calls
-          by appending a border row to the live factorisation instead of
-          marking it for refactorisation (default [true]; sparse backend
-          only — the dense inverse always extends in place). *)
+      (** keep the factorised basis alive across {!add_row} calls by
+          appending a border row to the live factorisation instead of
+          marking it for refactorisation (default [true]). *)
   bland_threshold : int;
       (** consecutive degenerate pivots tolerated before the anti-cycling
           escape switches to Bland's rule (default 1000). The switch
@@ -149,20 +126,20 @@ type params = {
 }
 
 val default_params : params
-(** Partial pricing, bound flips on, warm starts on, dense explicit
-    inverse, [refactor_every = 100], [tol_feas = 1e-7],
-    [tol_dual = tol_pivot = 1e-9], automatic iteration cap, no time
-    limit, full recovery ladder, no fault injection. *)
+(** Bound flips on, warm starts on, [refactor_every = 100],
+    [tol_feas = 1e-7], [tol_dual = tol_pivot = 1e-9], automatic
+    iteration cap, no time limit, full recovery ladder, no fault
+    injection. This is the configuration the EBF solves run. *)
 
 type recoveries = {
   refactor_retries : int;
-  backend_switches : int;
   tolerance_escalations : int;
   perturbed_resolves : int;
   tableau_fallbacks : int;
   faults_injected : int;  (** faults actually fired (testing) *)
   validations_rejected : int;
-      (** optimal bases rejected by the binv-free post-solve check *)
+      (** optimal bases rejected by the post-solve check, which reads
+          only the original column data, never the factorisation *)
 }
 (** Recovery-ladder telemetry; all zero on a numerically clean solve. *)
 
@@ -170,7 +147,7 @@ val no_recoveries : recoveries
 (** The all-zero record a numerically clean solve reports. *)
 
 val recovery_attempts : recoveries -> int
-(** Total ladder stages applied (sum of the five stage counters;
+(** Total ladder stages applied (sum of the four stage counters;
     excludes [faults_injected] and [validations_rejected]). *)
 
 type stats = {
@@ -182,19 +159,17 @@ type stats = {
       (** nonbasic bound flips performed by the long-step dual ratio
           test (not counted as iterations — no basis change) *)
   full_pricing_scans : int;
-      (** full-column scans: Dantzig/Bland pricing passes plus dual ratio
-          scans (each inspects all [n + m] columns) *)
-  partial_pricing_scans : int;  (** candidate-list-only pricing passes *)
-  ftran_count : int;  (** forward solves [B^-1 a] on either backend *)
-  btran_count : int;  (** transpose solves [B^-T c] on either backend *)
+      (** full-column scans: primal pricing passes plus dual ratio scans
+          (each inspects all [n + m] columns) *)
+  ftran_count : int;  (** forward solves [B^-1 a] *)
+  btran_count : int;  (** transpose solves [B^-T c] *)
   hyper_sparse_ftrans : int;
-      (** ftrans that took the hyper-sparse reach-based kernel (sparse
-          backend only) *)
+      (** ftrans that took the hyper-sparse reach-based kernel *)
   hyper_sparse_btrans : int;  (** btrans on the hyper-sparse kernel *)
   basis_updates : int;  (** rank-1 / eta updates applied *)
   basis_extensions : int;
       (** rows appended to a live factorisation by warm-started
-          {!add_row} (sparse backend with [warm_start]) *)
+          {!add_row} (with [warm_start]) *)
   refactorisations : int;  (** basis factorisations from scratch *)
   degenerate_pivots : int;  (** pivots with (numerically) zero step *)
   bland_activations : int;  (** times the anti-cycling escape engaged *)
@@ -254,8 +229,7 @@ val to_problem : t -> Problem.t
 val add_row : t -> lo:float -> up:float -> (int * float) list -> unit
 (** Appends a constraint row over structural variables. The engine stays
     dual feasible; call [solve] to re-optimise (it will run the dual
-    simplex). On the sparse backend with {!params}[.warm_start] the live
-    factorisation is extended by a border row (counted in
+    simplex). With {!params}[.warm_start] the live factorisation is extended by a border row (counted in
     [basis_extensions]) so the re-solve skips the refactorisation;
     otherwise the basis is refactorised at the next [solve]. *)
 

@@ -4,7 +4,7 @@
     CLI and the simplex recovery ladder. A record is one line:
 
     {v
-    lubt: [warn] recovery stage engaged stage=switch_backend iter=412
+    lubt: [warn] recovery stage engaged stage=tighten_pivot_tol iter=412
     v}
 
     i.e. a level tag, a human message, then [key=value] structured

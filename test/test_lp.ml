@@ -223,22 +223,22 @@ let test_dual_values () =
   check_float "strong duality" sol.objective dual_obj
 
 
-(* Sparse product-form backend must agree with the dense inverse. *)
+(* The sparse LU + eta basis must agree with the independent dense
+   tableau oracle on a second seeded corpus. *)
 let test_sparse_backend_agreement () =
   let rng = Prng.create 321 in
-  let sparse = { Simplex.default_params with Simplex.sparse_basis = true } in
   for id = 1 to 300 do
     let p = random_problem rng in
-    let a = Solver.solve p in
-    let b = Solver.solve ~params:sparse p in
+    let a = Tableau.solve p in
+    let b = Solver.solve p in
     match (a.Status.status, b.Status.status) with
     | Status.Optimal, Status.Optimal ->
       if not (Lubt_util.Stats.approx_eq ~eps:1e-5 a.objective b.objective) then
-        Alcotest.failf "case %d: dense %.9g vs sparse %.9g" id a.objective
+        Alcotest.failf "case %d: tableau %.9g vs sparse %.9g" id a.objective
           b.objective
     | sa, sb when sa = sb -> ()
     | sa, sb ->
-      Alcotest.failf "case %d: status dense=%s sparse=%s" id
+      Alcotest.failf "case %d: status tableau=%s sparse=%s" id
         (Status.to_string sa) (Status.to_string sb)
   done
 
@@ -248,8 +248,7 @@ let test_sparse_backend_incremental () =
   let n = 30 in
   let vars = Array.init n (fun _ -> Problem.add_var ~obj:1.0 p) in
   ignore (Problem.add_row p ~lo:1.0 ~up:infinity [ (vars.(0), 1.0) ]);
-  let sparse = { Simplex.default_params with Simplex.sparse_basis = true } in
-  let eng = Simplex.of_problem ~params:sparse p in
+  let eng = Simplex.of_problem p in
   Alcotest.check status_testable "first" Status.Optimal (Simplex.solve eng);
   for i = 0 to n - 2 do
     Simplex.add_row eng ~lo:(float_of_int i) ~up:infinity
@@ -268,23 +267,20 @@ let test_sparse_backend_incremental () =
   check_float "same objective" fresh.objective (Simplex.objective eng)
 
 
-(* Parameter fuzz: aggressive refactorisation and both backends must not
-   change any outcome. refactor_every = 1 exercises the LU refactor path
-   on every single pivot. *)
+(* Parameter fuzz: aggressive refactorisation and the anti-cycling escape
+   must not change any outcome. refactor_every = 1 exercises the LU
+   refactor path on every single pivot. *)
 let test_param_fuzz () =
   let rng = Prng.create 777 in
   let param_sets =
     [
       { Simplex.default_params with Simplex.refactor_every = 1 };
-      { Simplex.default_params with Simplex.refactor_every = 1; sparse_basis = true };
-      { Simplex.default_params with Simplex.refactor_every = 3; sparse_basis = true };
+      { Simplex.default_params with Simplex.refactor_every = 3 };
       { Simplex.default_params with Simplex.max_iters = 100_000 };
-      { Simplex.default_params with Simplex.pricing = Simplex.Dantzig };
-      { Simplex.default_params with Simplex.pricing = Simplex.Dantzig; sparse_basis = true };
       (* a tiny Bland threshold forces the anti-cycling path onto
          ordinary problems *)
       { Simplex.default_params with Simplex.bland_threshold = 0 };
-      { Simplex.default_params with Simplex.bland_threshold = 1; sparse_basis = true };
+      { Simplex.default_params with Simplex.bland_threshold = 1 };
     ]
   in
   for id = 1 to 80 do

@@ -200,6 +200,19 @@ let test_lp_format_reader_errors () =
       ( "Minimize\n obj: x\nSubject To\n c: x @ 3 >= 1\nEnd",
         "bad token",
         "line 4" );
+      (* numerals that overflow to infinity *)
+      ( "Minimize\n obj: 1e400 x\nSubject To\n c: x >= 1\nEnd",
+        "infinite objective coefficient",
+        "line 2" );
+      ( "Minimize\n obj: x\nSubject To\n c: 1e400 x >= 1\nEnd",
+        "infinite constraint coefficient",
+        "line 4" );
+      ( "Minimize\n obj: x\nSubject To\n c: x >= 1e400\nEnd",
+        "infinite right-hand side",
+        "line 4" );
+      ( "Minimize\n obj: x\nSubject To\n c: x >= 1\nBounds\n x >= 1e400\nEnd",
+        "infinite lower bound",
+        "line 6" );
     ]
 
 (* Structural equality up to variable order (LP format does not encode
@@ -292,7 +305,7 @@ let test_ebf_program_exports () =
 
 
 (* ------------------------------------------------------------------ *)
-(* Four-way engine cross-check on random EBF instances                  *)
+(* Engine cross-check on random EBF instances                           *)
 (* ------------------------------------------------------------------ *)
 
 module Simplex = Lubt_lp.Simplex
@@ -302,90 +315,57 @@ module Instance = Lubt_core.Instance
 module Topogen = Lubt_topo.Topogen
 module Point = Lubt_geom.Point
 
-(* Every engine configuration — {dense inverse, sparse LU} x {full
-   Dantzig pricing, partial pricing} — must agree with the independent
-   two-phase tableau oracle, both on the eager formulation (primal
-   phases) and through the lazy row-generation loop (dual-simplex warm
-   restarts after add_row). A fifth of the instances get an upper bound
-   below the radius so the infeasibility verdict is cross-checked too. *)
-let test_ebf_four_way_crosscheck () =
+(* The simplex engine must agree with the independent two-phase tableau
+   oracle, both on the eager formulation and through the lazy
+   row-generation loop (dual-simplex warm restarts after add_row). A
+   fifth of the instances get an upper bound below the radius so the
+   infeasibility verdict is cross-checked too. *)
+let test_ebf_engine_vs_tableau () =
   let rng = Prng.create 8086 in
-  let engine_params =
-    [
-      ("dense+dantzig",
-       { Simplex.default_params with
-         Simplex.sparse_basis = false; pricing = Simplex.Dantzig });
-      ("dense+partial",
-       { Simplex.default_params with
-         Simplex.sparse_basis = false; pricing = Simplex.Partial });
-      ("sparse+dantzig",
-       { Simplex.default_params with
-         Simplex.sparse_basis = true; pricing = Simplex.Dantzig });
-      ("sparse+partial",
-       { Simplex.default_params with
-         Simplex.sparse_basis = true; pricing = Simplex.Partial });
-    ]
-  in
   for case = 1 to 50 do
     (* every fifth case gets an upper bound below the radius: provably
        no LUBT exists, so the infeasibility verdict is cross-checked *)
     let inst, tree = Lp_gen.random_ebf ~infeasible:(case mod 5 = 0) rng in
     let oracle = Tableau.solve (Ebf.formulate inst tree) in
-    List.iter
-      (fun (label, params) ->
-        let eager = Solver.solve ~params (Ebf.formulate inst tree) in
-        if eager.Status.status <> oracle.Status.status then
-          Alcotest.failf "case %d (%s, eager): status %s vs oracle %s" case
-            label
-            (Status.to_string eager.Status.status)
-            (Status.to_string oracle.Status.status);
-        if
-          oracle.Status.status = Status.Optimal
-          && not
-               (Lubt_util.Stats.approx_eq ~eps:1e-6 eager.Status.objective
-                  oracle.Status.objective)
-        then
-          Alcotest.failf "case %d (%s, eager): %.9g vs oracle %.9g" case label
-            eager.Status.objective oracle.Status.objective;
-        let lazy_r =
-          Ebf.solve
-            ~options:{ Ebf.default_options with Ebf.lp_params = params }
-            inst tree
-        in
-        if lazy_r.Ebf.status <> oracle.Status.status then
-          Alcotest.failf "case %d (%s, lazy): status %s vs oracle %s" case
-            label
-            (Status.to_string lazy_r.Ebf.status)
-            (Status.to_string oracle.Status.status);
-        if oracle.Status.status = Status.Optimal then begin
-          if
-            not
-              (Lubt_util.Stats.approx_eq ~eps:1e-6 lazy_r.Ebf.objective
-                 oracle.Status.objective)
-          then
-            Alcotest.failf "case %d (%s, lazy): %.9g vs oracle %.9g" case
-              label lazy_r.Ebf.objective oracle.Status.objective;
-          match Ebf.check_lengths inst tree lazy_r.Ebf.lengths with
-          | Ok () -> ()
-          | Error msg -> Alcotest.failf "case %d (%s, lazy): %s" case label msg
-        end;
-        (* telemetry sanity on the lazy run *)
-        let st = lazy_r.Ebf.lp_stats in
-        if st.Simplex.iterations <> lazy_r.Ebf.lp_iterations then
-          Alcotest.failf "case %d (%s): stats iterations %d vs result %d" case
-            label st.Simplex.iterations lazy_r.Ebf.lp_iterations;
-        if List.length lazy_r.Ebf.round_stats <> lazy_r.Ebf.rounds then
-          Alcotest.failf "case %d (%s): %d round stats for %d rounds" case
-            label
-            (List.length lazy_r.Ebf.round_stats)
-            lazy_r.Ebf.rounds;
-        if
-          params.Simplex.pricing = Simplex.Dantzig
-          && st.Simplex.partial_pricing_scans <> 0
-        then
-          Alcotest.failf "case %d (%s): Dantzig pricing did partial scans"
-            case label)
-      engine_params
+    let eager = Solver.solve (Ebf.formulate inst tree) in
+    if eager.Status.status <> oracle.Status.status then
+      Alcotest.failf "case %d (eager): status %s vs oracle %s" case
+        (Status.to_string eager.Status.status)
+        (Status.to_string oracle.Status.status);
+    if
+      oracle.Status.status = Status.Optimal
+      && not
+           (Lubt_util.Stats.approx_eq ~eps:1e-6 eager.Status.objective
+              oracle.Status.objective)
+    then
+      Alcotest.failf "case %d (eager): %.9g vs oracle %.9g" case
+        eager.Status.objective oracle.Status.objective;
+    let lazy_r = Ebf.solve inst tree in
+    if lazy_r.Ebf.status <> oracle.Status.status then
+      Alcotest.failf "case %d (lazy): status %s vs oracle %s" case
+        (Status.to_string lazy_r.Ebf.status)
+        (Status.to_string oracle.Status.status);
+    if oracle.Status.status = Status.Optimal then begin
+      if
+        not
+          (Lubt_util.Stats.approx_eq ~eps:1e-6 lazy_r.Ebf.objective
+             oracle.Status.objective)
+      then
+        Alcotest.failf "case %d (lazy): %.9g vs oracle %.9g" case
+          lazy_r.Ebf.objective oracle.Status.objective;
+      match Ebf.check_lengths inst tree lazy_r.Ebf.lengths with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "case %d (lazy): %s" case msg
+    end;
+    (* telemetry sanity on the lazy run *)
+    let st = lazy_r.Ebf.lp_stats in
+    if st.Simplex.iterations <> lazy_r.Ebf.lp_iterations then
+      Alcotest.failf "case %d: stats iterations %d vs result %d" case
+        st.Simplex.iterations lazy_r.Ebf.lp_iterations;
+    if List.length lazy_r.Ebf.round_stats <> lazy_r.Ebf.rounds then
+      Alcotest.failf "case %d: %d round stats for %d rounds" case
+        (List.length lazy_r.Ebf.round_stats)
+        lazy_r.Ebf.rounds
   done
 
 (* ------------------------------------------------------------------ *)
@@ -448,23 +428,6 @@ let test_lu_transpose_solve () =
           Alcotest.failf "case %d: btran x[%d] = %.12g vs %.12g" case i v
             x_true.(i))
       x
-  done
-
-let test_lu_inverse_columns () =
-  let rng = Prng.create 4027 in
-  let n = 12 in
-  let cols = random_nonsingular rng n in
-  let lu = Lu.factor cols in
-  (* A * (column j of A^-1) = e_j *)
-  for j = 0 to n - 1 do
-    let inv_j = Lu.inverse_column lu j in
-    let e = mat_vec cols inv_j in
-    Array.iteri
-      (fun i v ->
-        let want = if i = j then 1.0 else 0.0 in
-        if not (Lubt_util.Stats.approx_eq ~eps:1e-8 v want) then
-          Alcotest.failf "inverse column %d row %d: %.12g vs %.12g" j i v want)
-      e
   done
 
 let test_lu_detects_singular () =
@@ -646,8 +609,8 @@ let prop_lu_sparse_kernels_match_dense =
 (* ------------------------------------------------------------------ *)
 
 (* The dual simplex updates its reduced costs from the pivot row instead
-   of recomputing them from a BTRAN. After every dual pivot, on both
-   basis backends, they must still match a fresh [c_j - a_j^T y]: over
+   of recomputing them from a BTRAN. After every dual pivot they must
+   still match a fresh [c_j - a_j^T y]: over
    the full formulations of random EBF instances (long dual runs from
    the all-slack basis, with refactorisations) and the lazy loop's
    warm re-solves after appended rows, and over the general random LPs
@@ -672,27 +635,24 @@ let test_incremental_reduced_costs () =
     ignore (Simplex.solve eng);
     eng
   in
-  List.iter
-    (fun sparse_basis ->
-      let params =
-        { Simplex.default_params with Simplex.sparse_basis; refactor_every = 25 }
-      in
-      let backend = if sparse_basis then "sparse" else "dense" in
-      for case = 1 to 15 do
-        let inst, tree = Lp_gen.random_ebf ~min_sinks:10 ~sink_span:20 rng in
-        let prob = Ebf.formulate inst tree in
-        let eng = watch (Printf.sprintf "%s ebf %d" backend case) params prob in
-        (* warm re-solve after a row that cuts off the optimum *)
-        let v = Simplex.primal eng in
-        let j = Prng.int rng (Array.length v) in
-        Simplex.add_row eng ~lo:(v.(j) +. 1.0) ~up:infinity [ (j, 1.0) ];
-        ignore (Simplex.solve eng)
-      done;
-      for case = 1 to 200 do
-        let prob = Lp_gen.random_problem rng in
-        ignore (watch (Printf.sprintf "%s random %d" backend case) params prob)
-      done)
-    [ true; false ];
+  let params = { Simplex.default_params with Simplex.refactor_every = 25 } in
+  (* two passes of 15 EBF + 200 random instances from one seeded stream *)
+  for pass = 1 to 2 do
+    for case = 1 to 15 do
+      let inst, tree = Lp_gen.random_ebf ~min_sinks:10 ~sink_span:20 rng in
+      let prob = Ebf.formulate inst tree in
+      let eng = watch (Printf.sprintf "pass %d ebf %d" pass case) params prob in
+      (* warm re-solve after a row that cuts off the optimum *)
+      let v = Simplex.primal eng in
+      let j = Prng.int rng (Array.length v) in
+      Simplex.add_row eng ~lo:(v.(j) +. 1.0) ~up:infinity [ (j, 1.0) ];
+      ignore (Simplex.solve eng)
+    done;
+    for case = 1 to 200 do
+      let prob = Lp_gen.random_problem rng in
+      ignore (watch (Printf.sprintf "pass %d random %d" pass case) params prob)
+    done
+  done;
   if !pivots < 1000 then
     Alcotest.failf "only %d dual pivots were checked" !pivots
 
@@ -777,7 +737,6 @@ let () =
         [
           Alcotest.test_case "solve roundtrip" `Quick test_lu_solve_roundtrip;
           Alcotest.test_case "transpose solve" `Quick test_lu_transpose_solve;
-          Alcotest.test_case "inverse columns" `Quick test_lu_inverse_columns;
           Alcotest.test_case "detects singular" `Quick test_lu_detects_singular;
           Alcotest.test_case "permutation matrix" `Quick
             test_lu_permutation_matrix;
@@ -808,7 +767,7 @@ let () =
         ] );
       ( "ebf-cross-check",
         [
-          Alcotest.test_case "four-way engine agreement, 50 instances" `Slow
-            test_ebf_four_way_crosscheck;
+          Alcotest.test_case "engine vs tableau agreement" `Slow
+            test_ebf_engine_vs_tableau;
         ] );
     ]

@@ -1,13 +1,12 @@
-(* Fast-path equivalence layer: the devex pricing rule, the
-   bound-flipping dual ratio test, the hyper-sparse solve kernels and
-   the EBF warm start are pure accelerations — no configuration may
-   change any verdict or optimal value.  Every engine configuration
-   ({dense, sparse} basis x {Dantzig, Partial, Devex} pricing, with and
-   without bound flips) is checked against the independent two-phase
-   tableau oracle to 1e-7 and against the a-posteriori certifier, on a
-   fixed 50-instance corpus, on fresh QCheck-generated instances, on
-   LPs whose optimum is known exactly by construction, and under
-   injected numerical faults driven through the recovery ladder. *)
+(* Fast-path equivalence layer: the bound-flipping dual ratio test, the
+   hyper-sparse solve kernels and the EBF warm start are pure
+   accelerations — no configuration may change any verdict or optimal
+   value.  The engine, with and without bound flips, is checked against
+   the independent two-phase tableau oracle to 1e-7 and against the
+   a-posteriori certifier, on a fixed 50-instance corpus, on fresh
+   QCheck-generated instances, on LPs whose optimum is known exactly by
+   construction, and under injected numerical faults driven through the
+   recovery ladder. *)
 
 module Problem = Lubt_lp.Problem
 module Solver = Lubt_lp.Solver
@@ -20,31 +19,14 @@ module Prng = Lubt_util.Prng
 
 let approx = Lubt_util.Stats.approx_eq
 
-(* The full configuration matrix.  Bound flips only alter dual ratio
-   tests and devex only primal pricing, but every combination must
+(* Bound flips only alter the dual ratio test, but both settings must
    still agree everywhere — that is the point. *)
 let configs =
-  List.concat_map
-    (fun (bname, sparse) ->
-      List.concat_map
-        (fun (pname, pricing) ->
-          List.map
-            (fun flips ->
-              ( Printf.sprintf "%s+%s%s" bname pname
-                  (if flips then "+flips" else ""),
-                {
-                  Simplex.default_params with
-                  Simplex.sparse_basis = sparse;
-                  pricing;
-                  bound_flips = flips;
-                } ))
-            [ true; false ])
-        [
-          ("dantzig", Simplex.Dantzig);
-          ("partial", Simplex.Partial);
-          ("devex", Simplex.Devex);
-        ])
-    [ ("dense", false); ("sparse", true) ]
+  List.map
+    (fun flips ->
+      ( (if flips then "flips" else "no-flips"),
+        { Simplex.default_params with Simplex.bound_flips = flips } ))
+    [ true; false ]
 
 (* Solve [p] under every configuration and compare with the tableau
    oracle: identical status; optimal objectives within 1e-7; primal
@@ -125,16 +107,7 @@ let qcheck_certified_fresh =
     QCheck.(make Gen.(int_bound max_int))
     (fun seed ->
       let cert = Lp_gen.certified_problem (Prng.create seed) in
-      let sol =
-        Solver.solve
-          ~params:
-            {
-              Simplex.default_params with
-              Simplex.pricing = Simplex.Devex;
-              bound_flips = true;
-            }
-          cert.Lp_gen.c_problem
-      in
+      let sol = Solver.solve cert.Lp_gen.c_problem in
       sol.Status.status = Status.Optimal
       && approx ~eps:1e-7 sol.Status.objective cert.Lp_gen.c_optimum)
 
@@ -178,14 +151,6 @@ let test_ebf_warm_start_equivalence () =
   let rng = Prng.create 61803 in
   let warm_rows_total = ref 0 in
   let hyper_total = ref 0 in
-  let fast_params =
-    {
-      Simplex.default_params with
-      Simplex.sparse_basis = true;
-      pricing = Simplex.Devex;
-      bound_flips = true;
-    }
-  in
   for case = 1 to 10 do
     (* 25+ sinks: small instances converge in one round (the seeded
        rows already cover them), so no border extension would happen *)
@@ -200,7 +165,7 @@ let test_ebf_warm_start_equivalence () =
           {
             Ebf.default_options with
             Ebf.warm_start = warm;
-            lp_params = { fast_params with Simplex.warm_start = warm };
+            lp_params = { Simplex.default_params with Simplex.warm_start = warm };
           }
         inst tree
     in
@@ -244,8 +209,8 @@ let test_ebf_warm_start_equivalence () =
 (* ------------------------------------------------------------------ *)
 
 (* The fast path must coexist with the resilience layer: with
-   deterministic faults injected into the sparse devex+flips engine,
-   the recovery ladder still produces the oracle's verdict. *)
+   deterministic faults injected into the bound-flipping engine, the
+   recovery ladder still produces the oracle's verdict. *)
 let test_fastpath_under_faults () =
   let rng = Prng.create 8087 in
   for case = 1 to 25 do
@@ -254,10 +219,7 @@ let test_fastpath_under_faults () =
     let params =
       {
         Simplex.default_params with
-        Simplex.pricing = Simplex.Devex;
-        bound_flips = true;
-        sparse_basis = true;
-        fault = Some (Simplex.fault_plan (1000 + case));
+        Simplex.fault = Some (Simplex.fault_plan (1000 + case));
       }
     in
     let sol = Solver.solve ~params p in
@@ -293,6 +255,6 @@ let () =
           ( "EBF warm start equivalence + uptake",
             `Slow,
             test_ebf_warm_start_equivalence );
-          ("devex+flips under injected faults", `Quick, test_fastpath_under_faults);
+          ("fast path under injected faults", `Quick, test_fastpath_under_faults);
         ] );
     ]

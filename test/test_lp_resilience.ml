@@ -130,33 +130,28 @@ let ebf_problem () =
 
 let test_fault_recovery_deterministic () =
   (* a guaranteed zero-pivot fault on the first basis update: the ladder's
-     first rung (refactorise-and-retry) must absorb it on both backends *)
-  List.iter
-    (fun sparse ->
-      let params =
-        {
-          Simplex.default_params with
-          Simplex.sparse_basis = sparse;
-          fault =
-            Some
-              (Simplex.fault_plan ~kinds:[ Simplex.Fault_zero_pivot ]
-                 ~rate:1.0 ~max_faults:1 42);
-        }
-      in
-      let clean = Solver.solve (ebf_problem ()) in
-      let eng = Simplex.of_problem ~params (ebf_problem ()) in
-      let status = Simplex.solve eng in
-      Alcotest.(check bool) "recovers to optimal" true
-        (status = Status.Optimal);
-      let recov = (Simplex.stats eng).Simplex.recoveries in
-      Alcotest.(check int) "one fault fired" 1 recov.Simplex.faults_injected;
-      Alcotest.(check bool) "ladder engaged" true
-        (Simplex.recovery_attempts recov >= 1);
-      if not (approx ~eps:1e-6 (Simplex.objective eng) clean.Status.objective)
-      then
-        Alcotest.failf "recovered objective %.9g vs clean %.9g (sparse=%b)"
-          (Simplex.objective eng) clean.Status.objective sparse)
-    [ false; true ]
+     first rung (refactorise-and-retry) must absorb it *)
+  let params =
+    {
+      Simplex.default_params with
+      Simplex.fault =
+        Some
+          (Simplex.fault_plan ~kinds:[ Simplex.Fault_zero_pivot ] ~rate:1.0
+             ~max_faults:1 42);
+    }
+  in
+  let clean = Solver.solve (ebf_problem ()) in
+  let eng = Simplex.of_problem ~params (ebf_problem ()) in
+  let status = Simplex.solve eng in
+  Alcotest.(check bool) "recovers to optimal" true (status = Status.Optimal);
+  let recov = (Simplex.stats eng).Simplex.recoveries in
+  Alcotest.(check int) "one fault fired" 1 recov.Simplex.faults_injected;
+  Alcotest.(check bool) "ladder engaged" true
+    (Simplex.recovery_attempts recov >= 1);
+  if not (approx ~eps:1e-6 (Simplex.objective eng) clean.Status.objective)
+  then
+    Alcotest.failf "recovered objective %.9g vs clean %.9g"
+      (Simplex.objective eng) clean.Status.objective
 
 let test_empty_ladder_fails_hard () =
   let params =
@@ -292,7 +287,7 @@ let test_ebf_time_limit_inside_scan () =
   | stats -> Alcotest.failf "%d round records, expected 1" (List.length stats)
 
 (* ------------------------------------------------------------------ *)
-(* Fault matrix: every kind x both backends on the cross-check corpus   *)
+(* Fault matrix: every fault kind on the cross-check corpus             *)
 (* ------------------------------------------------------------------ *)
 
 let random_ebf_instance rng =
@@ -308,9 +303,9 @@ let random_ebf_instance rng =
   in
   (m, with_source, sinks, source, Instance.radius base)
 
-(* Mirrors the four-way cross-check corpus: 50 seeded instances, a fifth
-   of them provably infeasible. Under forced faults (every kind, both
-   backends) the lazy row-generation pipeline must still reach the
+(* Mirrors the engine cross-check corpus: 50 seeded instances, a fifth
+   of them provably infeasible. Under forced faults (every kind) the
+   lazy row-generation pipeline must still reach the
    tableau oracle's verdict, and optimal answers must carry an [ok]
    certificate. *)
 let test_fault_matrix_crosscheck () =
@@ -334,60 +329,48 @@ let test_fault_matrix_crosscheck () =
     let inst = Instance.uniform_bounds ?source ~sinks ~lower:l ~upper:u () in
     let tree = Topogen.random_binary rng ~num_sinks:m ~source_edge:with_source in
     let oracle = Tableau.solve (Ebf.formulate inst tree) in
-    List.iter
-      (fun sparse ->
-        List.iteri
-          (fun ki (klabel, kind) ->
-            let label =
-              Printf.sprintf "case %d (%s, %s)" case
-                (if sparse then "sparse" else "dense")
-                klabel
-            in
-            let params =
+    List.iteri
+      (fun ki (klabel, kind) ->
+        let label = Printf.sprintf "case %d (%s)" case klabel in
+        let params =
+          {
+            Simplex.default_params with
+            Simplex.fault =
+              Some
+                (Simplex.fault_plan ~kinds:[ kind ] ~rate:1.0 ~max_faults:2
+                   ((case * 31) + ki));
+          }
+        in
+        let res =
+          Ebf.solve
+            ~options:
               {
-                Simplex.default_params with
-                Simplex.sparse_basis = sparse;
-                fault =
-                  Some
-                    (Simplex.fault_plan ~kinds:[ kind ] ~rate:1.0
-                       ~max_faults:2
-                       ((case * 31) + ki));
+                Ebf.default_options with
+                Ebf.lp_params = params;
+                check = Certify.Full;
               }
-            in
-            let res =
-              Ebf.solve
-                ~options:
-                  {
-                    Ebf.default_options with
-                    Ebf.lp_params = params;
-                    check = Certify.Full;
-                  }
-                inst tree
-            in
-            if res.Ebf.status <> oracle.Status.status then
-              Alcotest.failf "%s: status %s vs oracle %s" label
-                (Status.to_string res.Ebf.status)
-                (Status.to_string oracle.Status.status);
-            if oracle.Status.status = Status.Optimal then begin
-              if
-                not
-                  (approx ~eps:1e-6 res.Ebf.objective oracle.Status.objective)
-              then
-                Alcotest.failf "%s: objective %.9g vs oracle %.9g" label
-                  res.Ebf.objective oracle.Status.objective;
-              match res.Ebf.certificate with
-              | None -> Alcotest.failf "%s: missing certificate" label
-              | Some c ->
-                if not c.Certify.ok then
-                  Alcotest.failf "%s: certificate rejected: %s" label
-                    (match c.Certify.failure with Some e -> e | None -> "?")
-            end;
-            let recov = res.Ebf.lp_stats.Simplex.recoveries in
-            total_faults := !total_faults + recov.Simplex.faults_injected;
-            total_recoveries :=
-              !total_recoveries + Simplex.recovery_attempts recov)
-          kinds)
-      [ false; true ]
+            inst tree
+        in
+        if res.Ebf.status <> oracle.Status.status then
+          Alcotest.failf "%s: status %s vs oracle %s" label
+            (Status.to_string res.Ebf.status)
+            (Status.to_string oracle.Status.status);
+        if oracle.Status.status = Status.Optimal then begin
+          if not (approx ~eps:1e-6 res.Ebf.objective oracle.Status.objective)
+          then
+            Alcotest.failf "%s: objective %.9g vs oracle %.9g" label
+              res.Ebf.objective oracle.Status.objective;
+          match res.Ebf.certificate with
+          | None -> Alcotest.failf "%s: missing certificate" label
+          | Some c ->
+            if not c.Certify.ok then
+              Alcotest.failf "%s: certificate rejected: %s" label
+                (match c.Certify.failure with Some e -> e | None -> "?")
+        end;
+        let recov = res.Ebf.lp_stats.Simplex.recoveries in
+        total_faults := !total_faults + recov.Simplex.faults_injected;
+        total_recoveries := !total_recoveries + Simplex.recovery_attempts recov)
+      kinds
   done;
   (* the sweep must actually have exercised the ladder *)
   Alcotest.(check bool) "faults fired across the sweep" true
