@@ -14,9 +14,7 @@
      dune exec bench/main.exe -- sweep --jobs 4  # reference-corpus batch run
      dune exec bench/main.exe -- timing --json BENCH_lp.json
                                                  # machine-readable timings
-                                                 #   plus solver counters and
-                                                 #   the jobs=1/2/4/8 corpus
-                                                 #   scaling curve
+                                                 #   plus solver counters
 
    Unknown flags and commands are rejected (exit 1): a typo must never
    silently fall back to the default sweep. *)
@@ -60,7 +58,7 @@ let run_tradeoff ~jobs size =
   Printf.printf "(generated in %.1fs, jobs=%d)\n%!" secs jobs
 
 (* ------------------------------------------------------------------ *)
-(* Reference-corpus batch sweep (the domain-scaling workload)           *)
+(* Reference-corpus batch sweep                                         *)
 (* ------------------------------------------------------------------ *)
 
 let corpus_for size seed = Batch.corpus ~size ~per_bench:5 ~seed ()
@@ -81,48 +79,6 @@ let run_sweep ~jobs ~seed size =
   Printf.printf "wall %.3fs, %d failures, %d simplex iterations total\n%!"
     s.Batch.wall_s s.Batch.failures s.Batch.merged.Simplex.iterations;
   if s.Batch.failures > 0 then exit 1
-
-(* The jobs=1/2/4/8 scaling curve recorded in BENCH_lp.json. Also
-   cross-checks that every jobs count reproduces the jobs=1 objectives
-   bit-for-bit (the determinism contract of the batch engine). *)
-let scaling_sweep ~seed size =
-  let specs = corpus_for size seed in
-  let reference = ref [] in
-  List.map
-    (fun jobs ->
-      let s = Batch.run ~jobs specs in
-      if s.Batch.failures > 0 then begin
-        Printf.eprintf "scaling sweep: %d failures at jobs=%d\n" s.Batch.failures
-          jobs;
-        exit 1
-      end;
-      let objectives =
-        List.map (fun (o : Batch.outcome) -> o.Batch.objective) s.Batch.outcomes
-      in
-      (match !reference with
-      | [] -> reference := objectives
-      | ref_objs ->
-        if objectives <> ref_objs then begin
-          Printf.eprintf
-            "scaling sweep: objectives at jobs=%d differ from jobs=1\n" jobs;
-          exit 1
-        end);
-      Printf.printf "corpus sweep jobs=%d: %.3fs wall\n%!" jobs s.Batch.wall_s;
-      s)
-    [ 1; 2; 4; 8 ]
-  |> fun runs ->
-  let wall1 =
-    match runs with s :: _ -> s.Batch.wall_s | [] -> assert false
-  in
-  List.map
-    (fun (s : Batch.summary) ->
-      {
-        Protocol.sc_jobs = s.Batch.jobs;
-        sc_wall_s = s.Batch.wall_s;
-        sc_speedup = wall1 /. s.Batch.wall_s;
-        sc_instances = List.length s.Batch.outcomes;
-      })
-    runs
 
 let run_ablation size =
   Tables.print_ablation (Tables.ablation ~size ());
@@ -170,21 +126,6 @@ let timing_tests ?(seed = 0) () =
       ~upper:(baseline.Protocol.bst.Bst.dmax) ()
   in
   let relaxed = Instance.uniform_bounds ~source ~sinks ~lower:0.0 ~upper:infinity () in
-  (* the baseline engine configuration: classic dual ratio test and a
-     refactorisation between rounds, so the delta to "ebf lazy LP" is
-     what bound flips and cross-round warm starts save *)
-  let pr2_baseline =
-    {
-      Ebf.default_options with
-      Ebf.warm_start = false;
-      Ebf.lp_params =
-        {
-          Ebf.default_options.Ebf.lp_params with
-          Simplex.bound_flips = false;
-          warm_start = false;
-        };
-    }
-  in
   (* certified run: same workload as "ebf lazy LP" plus a Full
      a-posteriori certificate, so the delta between the two entries is
      the certification overhead *)
@@ -240,11 +181,6 @@ let timing_tests ?(seed = 0) () =
       (Test.make ~name:"ebf lazy LP (certified)"
          (Staged.stage (fun () -> ignore (Ebf.solve ~options:certified inst topo))))
       (fun () -> Ebf.solve ~options:certified inst topo);
-    lp "ebf lazy LP (pr2 baseline)"
-      (Test.make ~name:"ebf lazy LP (pr2 baseline)"
-         (Staged.stage (fun () ->
-              ignore (Ebf.solve ~options:pr2_baseline inst topo))))
-      (fun () -> Ebf.solve ~options:pr2_baseline inst topo);
     lp "ebf eco re-solve (cold)"
       (Test.make ~name:"ebf eco re-solve (cold)"
          (Staged.stage (fun () -> ignore (Ebf.solve eco_edited topo))))
@@ -275,7 +211,7 @@ let timing_tests ?(seed = 0) () =
              fun () -> ignore (Embed.place inst topo lengths))));
   ]
 
-let run_timing ?(seed = 0) ?(jobs = 1) ?(no_scaling = false) json_out =
+let run_timing ?(seed = 0) ?(jobs = 1) json_out =
   let open Bechamel in
   let cfg =
     Benchmark.cfg ~limit:200 ~quota:(Time.second 1.0) ~stabilize:false ()
@@ -321,20 +257,11 @@ let run_timing ?(seed = 0) ?(jobs = 1) ?(no_scaling = false) json_out =
   match json_out with
   | None -> ()
   | Some path ->
-    (* the JSON run also records the domain-scaling curve of the
-       reference corpus (and cross-checks its determinism), unless
-       --no-scaling asked for the quick timings-only record *)
-    let scaling =
-      if no_scaling then [] else scaling_sweep ~seed Benchmarks.Tiny
-    in
     let oc = open_out path in
-    output_string oc
-      (Protocol.bench_json ~jobs ~scaling ~scaling_skipped:no_scaling
-         ~size:"tiny" entries);
+    output_string oc (Protocol.bench_json ~jobs ~size:"tiny" entries);
     close_out oc;
-    Printf.printf "wrote %s (%d benchmark records, %d scaling points%s)\n%!"
-      path (List.length entries) (List.length scaling)
-      (if no_scaling then ", scaling skipped" else "")
+    Printf.printf "wrote %s (%d benchmark records)\n%!" path
+      (List.length entries)
 
 (* ------------------------------------------------------------------ *)
 (* Entry point                                                          *)
@@ -896,7 +823,7 @@ let known_commands =
 let usage_and_exit () =
   Printf.eprintf
     "usage: main.exe [COMMAND...] [--tiny|--scaled|--full] [--json FILE]\n\
-     [--seed N] [--jobs N] [--no-scaling] [--trace FILE] [--metrics]\n\
+     [--seed N] [--jobs N] [--trace FILE] [--metrics]\n\
      \       main.exe diff OLD.json NEW.json [--threshold PCT]\n\
      \                    [--abs-floor-ms MS] [--slo-threshold PCT]\n\
      \                    [--slo-floor-ms MS] [--warn-only]\n\
@@ -1011,7 +938,6 @@ let () =
   let json_out = ref None in
   let seed = ref 0 in
   let jobs = ref 1 in
-  let no_scaling = ref false in
   let trace_out = ref None in
   let commands = ref [] in
   let rec parse = function
@@ -1042,9 +968,6 @@ let () =
       | None ->
         Printf.eprintf "--seed: not an integer: %S\n" n;
         usage_and_exit ())
-    | "--no-scaling" :: rest ->
-      no_scaling := true;
-      parse rest
     (* enable the metrics registry for the run: the A/B lever for
        measuring instrumentation overhead (EXPERIMENTS.md "Metrics
        overhead") — without it every site is one atomic load *)
@@ -1094,7 +1017,7 @@ let () =
     | "ablation" -> run_ablation size
     | "extensions" -> run_extensions size
     | "sweep" -> run_sweep ~jobs ~seed:!seed size
-    | "timing" -> run_timing ~seed:!seed ~jobs ~no_scaling:!no_scaling !json_out
+    | "timing" -> run_timing ~seed:!seed ~jobs !json_out
     | "diff" | "serve" ->
       Printf.eprintf "%s must be the first argument\n"
         (List.hd (List.rev !commands));
@@ -1110,7 +1033,7 @@ let () =
     run_tradeoff ~jobs size;
     run_ablation size;
     run_extensions size;
-    run_timing ~seed:!seed ~jobs ~no_scaling:!no_scaling !json_out
+    run_timing ~seed:!seed ~jobs !json_out
   | cmds -> List.iter run cmds);
   match !trace_out with
   | Some path ->

@@ -261,8 +261,8 @@ let print_solver_stats (ebf : Ebf.result) =
         r.Ebf.solve_pivots)
     ebf.Ebf.round_stats
 
-let solve inst_path topo_path eager stats certify time_limit fault_seed
-    no_warm_start json trace convergence cache_dir no_cache log_level =
+let solve inst_path topo_path eager stats certify time_limit fault_seed json
+    trace convergence cache_dir no_cache log_level =
   Log.set_level log_level;
   if trace <> None then Trace.start ();
   let conv_sink =
@@ -306,11 +306,9 @@ let solve inst_path topo_path eager stats certify time_limit fault_seed
     | None ->
       (* no topology given: generate one with the baseline, guided by the
          skew implied by the bounds (the paper's protocol) *)
-      let radius = Instance.radius inst in
       let lo, _ = Lubt_util.Stats.min_max inst.Instance.lower in
       let _, hi = Lubt_util.Stats.min_max inst.Instance.upper in
       let bound = if hi = infinity then infinity else max 0.0 (hi -. lo) in
-      ignore radius;
       let r =
         Bst.route ~skew_bound:bound ?source:inst.Instance.source
           inst.Instance.sinks
@@ -324,7 +322,6 @@ let solve inst_path topo_path eager stats certify time_limit fault_seed
         (match fault_seed with
         | Some seed -> Some (Simplex.fault_plan seed)
         | None -> None);
-      warm_start = not no_warm_start;
     }
   in
   let options =
@@ -333,7 +330,6 @@ let solve inst_path topo_path eager stats certify time_limit fault_seed
       Ebf.lazy_steiner = not eager;
       check = (if certify then Lubt_lp.Certify.Full else Lubt_lp.Certify.Off);
       time_limit = (if time_limit <= 0.0 then infinity else time_limit);
-      warm_start = not no_warm_start;
       cache = make_cache ~no_cache ~cache_dir;
       lp_params;
       probe;
@@ -439,15 +435,6 @@ let solve_cmd =
              refactorisations, perturbed ftrans, zero pivots) seeded by \
              SEED, to exercise the recovery ladder. Testing only.")
   in
-  let no_warm_start =
-    Arg.(
-      value & flag
-      & info [ "no-warm-start" ]
-          ~doc:
-            "Refactorise the LP basis after each lazy row-generation round \
-             instead of extending the live factorisation in place \
-             (disables cross-round warm starts).")
-  in
   let json =
     Arg.(
       value & flag
@@ -485,7 +472,7 @@ let solve_cmd =
     (Cmd.info "solve" ~doc:"Solve the LUBT problem (EBF + embedding)")
     Term.(
       const solve $ inst_path $ topo_path $ eager $ stats $ certify
-      $ time_limit $ fault_seed $ no_warm_start $ json $ trace
+      $ time_limit $ fault_seed $ json $ trace
       $ convergence $ cache_dir_t $ no_cache_t $ log_level_t)
 
 (* ------------------------------------------------------------------ *)

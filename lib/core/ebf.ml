@@ -28,7 +28,6 @@ type options = {
   max_rounds : int;
   time_limit : float;
   check : Certify.level;
-  warm_start : bool;
   cache : Lubt_lp.Basis_cache.t option;
   probe : Simplex.probe option;
   lp_params : Simplex.params;
@@ -43,7 +42,6 @@ let default_options =
     max_rounds = 10_000;
     time_limit = infinity;
     check = Certify.Off;
-    warm_start = true;
     cache = None;
     probe = None;
     lp_params = Simplex.default_params;
@@ -383,15 +381,7 @@ let solve ?(options = default_options) ?weights (inst : Instance.t) tree =
           ignore (Problem.add_row prob ~lo:d ~up:infinity coeffs)
         end)
       seed_pairs);
-  (* the EBF-level warm_start switch gates (never enables) the engine's
-     own warm_start parameter, so either layer can turn the reuse off *)
-  let lp_params =
-    {
-      options.lp_params with
-      Simplex.warm_start = options.lp_params.Simplex.warm_start && options.warm_start;
-    }
-  in
-  let eng = Simplex.of_problem ~params:lp_params prob in
+  let eng = Simplex.of_problem ~params:options.lp_params prob in
   (* install the cached basis; the next solve warm-restarts the dual
      simplex from the parent optimum. A snapshot that fails validation or
      factorisation is rejected through the typed {!Simplex.basis_mismatch}

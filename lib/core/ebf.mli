@@ -44,13 +44,6 @@ type options = {
           and both delay bounds per sink — including rows the lazy
           generator never materialised. A rejected certificate degrades
           the status to [Numerical_failure]. *)
-  warm_start : bool;
-      (** keep the factorised LP basis alive across row-generation rounds
-          (default [true]): appended rows extend the live factorisation
-          ({!Lubt_lp.Simplex.add_row} border extension) instead of forcing
-          a refactorisation before each re-solve. Gates — never enables —
-          [lp_params.warm_start], so setting either [false] disables the
-          reuse. Per-round uptake is reported in {!round_stat}[.warm_rows]. *)
   cache : Lubt_lp.Basis_cache.t option;
       (** cross-request warm-start cache (default [None]). When given, the
           solve first consults the cache under the instance's content
@@ -69,6 +62,13 @@ type options = {
           [Lubt_obs.Convergence]; note the probe perturbs the solver's
           BTRAN counters (see {!Lubt_lp.Simplex.set_probe}). *)
   lp_params : Lubt_lp.Simplex.params;
+      (** the LP engine's parameters (default
+          {!Lubt_lp.Simplex.default_params}). Its [warm_start] switch is
+          the one that keeps the factorised basis alive across
+          row-generation rounds: appended rows extend the live
+          factorisation instead of forcing a refactorisation before each
+          re-solve. Per-round uptake is reported in
+          {!round_stat}[.warm_rows]. *)
 }
 
 val default_options : options

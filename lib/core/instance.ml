@@ -12,9 +12,13 @@ let create ?source ~sinks ~lower ~upper () =
   if m = 0 then invalid_arg "Instance.create: no sinks";
   if Array.length lower <> m || Array.length upper <> m then
     invalid_arg "Instance.create: bounds length mismatch";
+  let finite (p : Point.t) = Float.is_finite p.x && Float.is_finite p.y in
+  let source_ok = match source with Some p -> finite p | None -> true in
+  if not (source_ok && Array.for_all finite sinks) then
+    invalid_arg "Instance.create: non-finite coordinate";
   for i = 0 to m - 1 do
-    if not (0.0 <= lower.(i) && lower.(i) <= upper.(i)) then
-      invalid_arg "Instance.create: need 0 <= lower <= upper"
+    if not (0.0 <= lower.(i) && lower.(i) <= upper.(i) && lower.(i) < infinity)
+    then invalid_arg "Instance.create: need 0 <= lower <= upper, lower finite"
   done;
   { sinks; source; lower = Array.copy lower; upper = Array.copy upper }
 

@@ -20,7 +20,8 @@ val create :
   unit ->
   t
 (** @raise Invalid_argument when arrays disagree in length, some
-    [lower > upper], or some bound is negative. *)
+    [lower > upper], some bound is negative, some lower bound is
+    infinite, or a sink or source coordinate is not finite. *)
 
 val uniform_bounds :
   ?source:Lubt_geom.Point.t ->

@@ -117,6 +117,9 @@ let tree_of_string text =
   | Some msg -> Error msg
   | None ->
     if !n < 2 then Error "missing nodes line"
+    (* checked before any allocation sized by the untrusted count *)
+    else if !n - 1 > List.length !edges then
+      Error "some node has no edge record"
     else begin
       let parents = Array.make !n (-2) in
       parents.(0) <- -1;

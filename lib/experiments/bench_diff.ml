@@ -9,6 +9,7 @@ type entry_delta = {
   d_ratio : float;
   d_verdict : verdict;
   d_counters : (string * float * float) list;
+  d_lost_counters : string list;
 }
 
 type report = {
@@ -20,13 +21,6 @@ type report = {
   r_only_old : string list;
   r_only_new : string list;
 }
-
-(* phase timings inside the solver record are wall-clock noise; every
-   other solver member is a deterministic pivot-trajectory counter *)
-let noisy_counter name =
-  match name with
-  | "phase1_ms" | "phase2_ms" | "dual_ms" -> true
-  | _ -> false
 
 let has_suffix name s =
   let nl = String.length name and sl = String.length s in
@@ -75,7 +69,7 @@ let parse_entry file j =
       List.concat_map
         (fun (k, v) ->
           match v with
-          | Json.Num n when not (noisy_counter k) -> [ (k, n) ]
+          | Json.Num n -> [ (k, n) ]
           | Json.Obj nested ->
             List.filter_map
               (fun (nk, nv) ->
@@ -110,6 +104,11 @@ let diff_counters old_cs new_cs =
       match List.assoc_opt k new_cs with
       | Some nv when nv <> ov -> Some (k, ov, nv)
       | _ -> None)
+    old_cs
+
+let lost_counters old_cs new_cs =
+  List.filter_map
+    (fun (k, _) -> if List.mem_assoc k new_cs then None else Some k)
     old_cs
 
 let compare ?(threshold = 0.10) ?(abs_floor_ms = 0.05) ?(slo_threshold = 0.50)
@@ -158,6 +157,7 @@ let compare ?(threshold = 0.10) ?(abs_floor_ms = 0.05) ?(slo_threshold = 0.50)
               d_ratio = ratio;
               d_verdict = verdict;
               d_counters = diff_counters old_cs new_cs;
+              d_lost_counters = lost_counters old_cs new_cs;
             })
       old_entries
   in
@@ -194,7 +194,11 @@ let compare_files ?threshold ?abs_floor_ms ?slo_threshold ?slo_floor_ms
 let regressions r =
   List.filter (fun d -> d.d_verdict = Regression) r.r_deltas
 
-let has_regression r = regressions r <> [] || r.r_only_old <> []
+let lost_counter_count r =
+  List.fold_left (fun n d -> n + List.length d.d_lost_counters) 0 r.r_deltas
+
+let has_regression r =
+  regressions r <> [] || r.r_only_old <> [] || lost_counter_count r > 0
 
 let verdict_tag = function
   | Regression -> "REGRESSION"
@@ -234,7 +238,10 @@ let print oc r =
       List.iter
         (fun (k, ov, nv) ->
           Printf.fprintf oc "    counter %-32s %.0f -> %.0f\n" k ov nv)
-        d.d_counters)
+        d.d_counters;
+      List.iter
+        (fun k -> Printf.fprintf oc "    counter %-32s MISSING from new run\n" k)
+        d.d_lost_counters)
     r.r_deltas;
   List.iter
     (fun n -> Printf.fprintf oc "%-40s MISSING from new run\n" n)
@@ -243,9 +250,11 @@ let print oc r =
     (fun n -> Printf.fprintf oc "%-40s only in new run\n" n)
     r.r_only_new;
   let regs = List.length (regressions r) in
+  let lost what n =
+    if n > 0 then Printf.sprintf ", %d %s lost" n what else ""
+  in
   if has_regression r then
-    Printf.fprintf oc "verdict: %d regression(s)%s\n" regs
-      (if r.r_only_old <> [] then
-         Printf.sprintf ", %d benchmark(s) lost" (List.length r.r_only_old)
-       else "")
+    Printf.fprintf oc "verdict: %d regression(s)%s%s\n" regs
+      (lost "benchmark(s)" (List.length r.r_only_old))
+      (lost "counter(s)" (lost_counter_count r))
   else Printf.fprintf oc "verdict: ok\n"

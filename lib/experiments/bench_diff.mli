@@ -12,8 +12,9 @@
     exactly and reported, but never gate: on identical code they are
     deterministic, so any counter drift is surfaced loudly — it means
     the pivot trajectory changed — while wall-clock noise does not
-    produce false counter alarms. Phase timing fields ([phase1_ms],
-    [phase2_ms], [dual_ms]) are noise and are ignored.
+    produce false counter alarms. A counter the old record has and the
+    new one lacks is printed as ["MISSING from new run"], like a lost
+    benchmark, and fails the gate the same way.
 
     Benchmarks whose name ends in [_count] or [_rate] (the serve
     robustness counters and the warm-start cache hit rate) carry a
@@ -46,6 +47,9 @@ type entry_delta = {
       (** solver counters whose values differ: (name, old, new).
           Nested recovery counters are reported as
           ["recoveries.<field>"]. *)
+  d_lost_counters : string list;
+      (** solver counters present in the old record but absent from the
+          new one, named as in [d_counters] *)
 }
 
 type report = {
@@ -85,9 +89,9 @@ val compare_files :
 val regressions : report -> entry_delta list
 
 val has_regression : report -> bool
-(** True when any benchmark regressed, or when a benchmark present in
-    the old file is missing from the new one (losing coverage must
-    not pass silently). *)
+(** True when any benchmark regressed, or when a benchmark or a solver
+    counter present in the old file is missing from the new one (losing
+    coverage must not pass silently). *)
 
 val print : out_channel -> report -> unit
 (** Renders the delta table: one line per benchmark with old/new

@@ -127,7 +127,6 @@ let solver_stats_json (s : Simplex.stats) =
      \"hyper_sparse_btrans\": %d, \"basis_updates\": %d, \
      \"basis_extensions\": %d, \"refactorisations\": %d, \
      \"degenerate_pivots\": %d, \"bland_activations\": %d, \
-     \"phase1_ms\": %s, \"phase2_ms\": %s, \"dual_ms\": %s, \
      \"recoveries\": %s}"
     s.Simplex.iterations s.Simplex.phase1_iterations
     s.Simplex.phase2_iterations s.Simplex.dual_iterations
@@ -136,9 +135,6 @@ let solver_stats_json (s : Simplex.stats) =
     s.Simplex.hyper_sparse_btrans s.Simplex.basis_updates
     s.Simplex.basis_extensions s.Simplex.refactorisations
     s.Simplex.degenerate_pivots s.Simplex.bland_activations
-    (json_float (s.Simplex.phase1_seconds *. 1e3))
-    (json_float (s.Simplex.phase2_seconds *. 1e3))
-    (json_float (s.Simplex.dual_seconds *. 1e3))
     (recoveries_json s.Simplex.recoveries)
 
 let round_stat_json (r : Ebf.round_stat) =
@@ -177,36 +173,11 @@ let bench_entry_json e =
   Buffer.add_char buf '}';
   Buffer.contents buf
 
-type scaling_point = {
-  sc_jobs : int;
-  sc_wall_s : float;
-  sc_speedup : float;
-  sc_instances : int;
-}
-
-let scaling_point_json p =
+let bench_json ?(jobs = 1) ~size entries =
   Printf.sprintf
-    "{\"jobs\": %d, \"wall_s\": %s, \"speedup\": %s, \"instances\": %d}"
-    p.sc_jobs (json_float p.sc_wall_s) (json_float p.sc_speedup) p.sc_instances
-
-let bench_json ?(jobs = 1) ?(scaling = []) ?(scaling_skipped = false) ~size
-    entries =
-  let scaling_field =
-    (* an explicitly-skipped sweep is recorded, not omitted, so a
-       consumer can tell "not measured" from "measured empty" *)
-    if scaling_skipped then ",\n  \"scaling\": [],\n  \"scaling_skipped\": true"
-    else
-      match scaling with
-      | [] -> ""
-      | points ->
-        Printf.sprintf ",\n  \"scaling\": [\n    %s\n  ]"
-          (String.concat ",\n    " (List.map scaling_point_json points))
-  in
-  Printf.sprintf
-    "{\n  \"schema\": \"lubt-bench/4\",\n  \"size\": \"%s\",\n  \
+    "{\n  \"schema\": \"lubt-bench/5\",\n  \"size\": \"%s\",\n  \
      \"jobs\": %d,\n  \"cores\": %d,\n  \
-     \"benchmarks\": [\n    %s\n  ]%s\n}\n"
+     \"benchmarks\": [\n    %s\n  ]\n}\n"
     (json_escape size) jobs
     (Lubt_util.Pool.default_jobs ())
     (String.concat ",\n    " (List.map bench_entry_json entries))
-    scaling_field

@@ -47,21 +47,16 @@ val time : (unit -> 'a) -> 'a * float
 
 (** {1 Machine-readable benchmark records}
 
-    The [BENCH_lp.json] schema ([lubt-bench/4]) emitted by
+    The [BENCH_lp.json] schema ([lubt-bench/5]) emitted by
     [bench/main.exe -- timing --json FILE]: a top-level object with
     [schema], [size] (tiny|scaled|full), [jobs] (worker domains the run
     was asked for), [cores] (the machine's
-    {!Lubt_util.Pool.default_jobs}), [benchmarks] — an array of entries
-    each holding [name], [ms_per_run], and, for LP-backed benchmarks,
-    [solver] (the {!Lubt_lp.Simplex.stats} counters, times in
-    milliseconds) and [ebf] (status, objective, row counts, and
-    [round_stats], the per-round lazy-loop telemetry) — and, when a
-    scaling sweep was run, [scaling]: one point per jobs count with the
-    corpus wall-clock and the speedup over the jobs=1 run of the same
-    corpus. A run invoked with [--no-scaling] instead records
-    [scaling: []] plus [scaling_skipped: true], so a consumer (the
-    [bench diff] gate) can tell "not measured" from "measured empty".
-    Perf PRs append one such file per run to track the trajectory. *)
+    {!Lubt_util.Pool.default_jobs}) and [benchmarks] — an array of
+    entries each holding [name], [ms_per_run], and, for LP-backed
+    benchmarks, [solver] (the {!Lubt_lp.Simplex.stats} counters) and
+    [ebf] (status, objective, row counts, and [round_stats], the
+    per-round lazy-loop telemetry). Phase wall times are not recorded
+    here; they are the [simplex.*] trace spans. *)
 
 type bench_entry = {
   bench_name : string;
@@ -72,23 +67,10 @@ type bench_entry = {
       (** lazy-loop telemetry of the same representative solve *)
 }
 
-type scaling_point = {
-  sc_jobs : int;  (** worker domains used for this corpus run *)
-  sc_wall_s : float;  (** whole-corpus wall-clock, seconds *)
-  sc_speedup : float;  (** jobs=1 wall-clock / this wall-clock *)
-  sc_instances : int;  (** corpus size *)
-}
-(** One point of the domain-scaling curve recorded in [BENCH_lp.json]. *)
-
-val bench_json :
-  ?jobs:int -> ?scaling:scaling_point list -> ?scaling_skipped:bool ->
-  size:string -> bench_entry list -> string
-(** Renders entries as the [lubt-bench/4] JSON document (self-contained,
+val bench_json : ?jobs:int -> size:string -> bench_entry list -> string
+(** Renders entries as the [lubt-bench/5] JSON document (self-contained,
     no external JSON dependency; [inf]/[nan] become [null]). [jobs]
-    (default 1) and [scaling] (default absent) fill the schema's
-    parallel-sweep fields; [scaling_skipped] (default false) records an
-    explicitly-skipped sweep as [scaling: []] with the [skipped]
-    marker. *)
+    (default 1) fills the schema's [jobs] field. *)
 
 (** {1 JSON building blocks}
 

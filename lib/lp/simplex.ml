@@ -105,9 +105,6 @@ type stats = {
   refactorisations : int;
   degenerate_pivots : int;
   bland_activations : int;
-  phase1_seconds : float;
-  phase2_seconds : float;
-  dual_seconds : float;
   recoveries : recoveries;
 }
 
@@ -122,9 +119,6 @@ type istats = {
   mutable s_full_scans : int;
   mutable s_degen : int;
   mutable s_bland : int;
-  mutable s_phase1_secs : float;
-  mutable s_phase2_secs : float;
-  mutable s_dual_secs : float;
   mutable s_rec_refactor : int;
   mutable s_rec_tol : int;
   mutable s_rec_perturb : int;
@@ -142,9 +136,6 @@ let fresh_istats () =
     s_full_scans = 0;
     s_degen = 0;
     s_bland = 0;
-    s_phase1_secs = 0.0;
-    s_phase2_secs = 0.0;
-    s_dual_secs = 0.0;
     s_rec_refactor = 0;
     s_rec_tol = 0;
     s_rec_perturb = 0;
@@ -1180,43 +1171,30 @@ let dual_feasible t =
   t.d_valid <- !ok;
   !ok
 
-(* Phase-attributed wrappers: account wall time and the iteration delta of
-   one algorithm run to the matching stats bucket. *)
-let run_phase1 t =
-  let t0 = Clock.now () in
+(* Phase-attributed wrappers: add the iteration delta of one algorithm run
+   to its stats bucket and record it on a span named after the phase. *)
+let run_in t ~phase ~span algo bump =
+  let tr0 = tr_start () in
   let it0 = t.iters in
-  t.cur_phase <- "phase1";
-  let r = primal_phase1 t in
-  t.st.s_phase1_secs <- t.st.s_phase1_secs +. (Clock.now () -. t0);
-  t.st.s_phase1_iters <- t.st.s_phase1_iters + (t.iters - it0);
+  t.cur_phase <- phase;
+  let r = algo t in
+  bump (t.iters - it0);
   if Trace.enabled () then
-    Trace.complete ~t0 "simplex.phase1"
+    Trace.complete ~t0:tr0 span
       ~args:[ ("iterations", Trace.Int (t.iters - it0)) ];
   r
+
+let run_phase1 t =
+  run_in t ~phase:"phase1" ~span:"simplex.phase1" primal_phase1 (fun d ->
+      t.st.s_phase1_iters <- t.st.s_phase1_iters + d)
 
 let run_phase2 t =
-  let t0 = Clock.now () in
-  let it0 = t.iters in
-  t.cur_phase <- "phase2";
-  let r = primal_phase2 t in
-  t.st.s_phase2_secs <- t.st.s_phase2_secs +. (Clock.now () -. t0);
-  t.st.s_phase2_iters <- t.st.s_phase2_iters + (t.iters - it0);
-  if Trace.enabled () then
-    Trace.complete ~t0 "simplex.phase2"
-      ~args:[ ("iterations", Trace.Int (t.iters - it0)) ];
-  r
+  run_in t ~phase:"phase2" ~span:"simplex.phase2" primal_phase2 (fun d ->
+      t.st.s_phase2_iters <- t.st.s_phase2_iters + d)
 
 let run_dual t =
-  let t0 = Clock.now () in
-  let it0 = t.iters in
-  t.cur_phase <- "dual";
-  let r = dual_simplex t in
-  t.st.s_dual_secs <- t.st.s_dual_secs +. (Clock.now () -. t0);
-  t.st.s_dual_iters <- t.st.s_dual_iters + (t.iters - it0);
-  if Trace.enabled () then
-    Trace.complete ~t0 "simplex.dual"
-      ~args:[ ("iterations", Trace.Int (t.iters - it0)) ];
-  r
+  run_in t ~phase:"dual" ~span:"simplex.dual" dual_simplex (fun d ->
+      t.st.s_dual_iters <- t.st.s_dual_iters + d)
 
 (* Algorithm selection for one clean run from the current basis. *)
 let drive t =
@@ -1693,9 +1671,6 @@ let stats t =
     refactorisations = t.ops.Basis.factorisations;
     degenerate_pivots = t.st.s_degen;
     bland_activations = t.st.s_bland;
-    phase1_seconds = t.st.s_phase1_secs;
-    phase2_seconds = t.st.s_phase2_secs;
-    dual_seconds = t.st.s_dual_secs;
     recoveries =
       {
         refactor_retries = t.st.s_rec_refactor;
@@ -1724,9 +1699,6 @@ let zero_stats =
     refactorisations = 0;
     degenerate_pivots = 0;
     bland_activations = 0;
-    phase1_seconds = 0.0;
-    phase2_seconds = 0.0;
-    dual_seconds = 0.0;
     recoveries = no_recoveries;
   }
 
@@ -1757,9 +1729,6 @@ let merge_stats a b =
     refactorisations = a.refactorisations + b.refactorisations;
     degenerate_pivots = a.degenerate_pivots + b.degenerate_pivots;
     bland_activations = a.bland_activations + b.bland_activations;
-    phase1_seconds = a.phase1_seconds +. b.phase1_seconds;
-    phase2_seconds = a.phase2_seconds +. b.phase2_seconds;
-    dual_seconds = a.dual_seconds +. b.dual_seconds;
     recoveries = merge_recoveries a.recoveries b.recoveries;
   }
 
@@ -1769,14 +1738,12 @@ let pp_stats fmt s =
      pricing scans: %d@,\
      ftran/btran: %d/%d (hyper-sparse %d/%d), basis updates: %d, \
      extensions: %d, refactorisations: %d@,\
-     degenerate pivots: %d, Bland activations: %d@,\
-     time: phase1 %.3fms, phase2 %.3fms, dual %.3fms"
+     degenerate pivots: %d, Bland activations: %d"
     s.iterations s.phase1_iterations s.phase2_iterations s.dual_iterations
     s.bound_flips s.full_pricing_scans s.ftran_count
     s.btran_count s.hyper_sparse_ftrans s.hyper_sparse_btrans s.basis_updates
     s.basis_extensions s.refactorisations s.degenerate_pivots
-    s.bland_activations (s.phase1_seconds *. 1e3) (s.phase2_seconds *. 1e3)
-    (s.dual_seconds *. 1e3);
+    s.bland_activations;
   let r = s.recoveries in
   Format.fprintf fmt
     "@,recoveries: %d refactor, %d tolerance, %d perturb, %d tableau; \

@@ -110,7 +110,9 @@ type params = {
   warm_start : bool;
       (** keep the factorised basis alive across {!add_row} calls by
           appending a border row to the live factorisation instead of
-          marking it for refactorisation (default [true]). *)
+          marking it for refactorisation (default [true]). This is the
+          one switch for cross-round warm starts: the EBF row-generation
+          loop reads it from its [lp_params]. *)
   bland_threshold : int;
       (** consecutive degenerate pivots tolerated before the anti-cycling
           escape switches to Bland's rule (default 1000). The switch
@@ -173,16 +175,13 @@ type stats = {
   refactorisations : int;  (** basis factorisations from scratch *)
   degenerate_pivots : int;  (** pivots with (numerically) zero step *)
   bland_activations : int;  (** times the anti-cycling escape engaged *)
-  phase1_seconds : float;  (** wall time spent in primal phase I *)
-  phase2_seconds : float;
-  dual_seconds : float;
   recoveries : recoveries;  (** numerical-recovery telemetry *)
 }
 (** Cumulative solver counters, preserved across warm restarts ([add_row] +
     re-[solve]); read them with {!stats} at any point. Counter fields are
     valid from engine creation onwards (all zero before the first
-    [solve]); the [*_seconds] fields only cover completed phase runs, so
-    they undercount while a [solve] is in flight. The [recoveries] field
+    [solve]). Phase wall time is not a counter: it is the duration of the
+    [simplex.phase1]/[phase2]/[dual] trace spans. The [recoveries] field
     is only meaningful after [solve] has returned — a recovery in
     progress is not yet counted. *)
 
@@ -191,7 +190,7 @@ val zero_stats : stats
     accumulator seed for batch aggregation. *)
 
 val merge_stats : stats -> stats -> stats
-(** [merge_stats a b] sums every counter and phase time (and the nested
+(** [merge_stats a b] sums every counter (and the nested
     {!recoveries}) component-wise. Commutative and associative with
     {!zero_stats} as identity, so per-worker telemetry from a
     domain-parallel sweep can be folded in any order into one

@@ -4,7 +4,6 @@
 val solve :
   ?params:Simplex.params ->
   ?check:Certify.level ->
-  ?cache:Basis_cache.t ->
   Problem.t ->
   Status.solution
 (** [solve prob] solves and packages the model. With [check] (default
@@ -13,20 +12,12 @@ val solve :
     {!Tableau} oracle is consulted, and only when the oracle's answer also
     fails does the status degrade to [Numerical_failure]. A solution served
     by the engine's own tableau fallback is certified at [Primal] level
-    (it carries no duals).
-
-    With [cache], the model is content-addressed (coefficients fix the
-    structure fingerprint, bounds complete the key — see {!Basis_cache})
-    and a cached basis of the identical or bounds-edited model
-    warm-restarts the solve; snapshots failing validation are rejected
-    with a typed {!Simplex.basis_mismatch} and the solve runs cold. The
-    final basis is stored back only when the solve ended [Optimal] without
-    the tableau fallback and (when [check] is on) certified clean. *)
+    (it carries no duals). Warm-start caching lives one level up, in
+    [Ebf.solve], which fingerprints the EBF formulation. *)
 
 val solve_exn :
   ?params:Simplex.params ->
   ?check:Certify.level ->
-  ?cache:Basis_cache.t ->
   Problem.t ->
   Status.solution
 (** Like {!solve}, but raises [Failure] unless the status is [Optimal].

@@ -30,7 +30,7 @@ module Point = Lubt_geom.Point
 (* ------------------------------------------------------------------ *)
 
 (* General mixed-bound LP: the cross-check workhorse.  [fixed_vars]
-   adds a fixed-variable kind (exercising presolve substitution) while
+   adds a fixed-variable kind (lo = up columns) while
    keeping the draw sequence of both original variants. *)
 let random_problem ?(fixed_vars = false) rng =
   let nv = 1 + Prng.int rng 6 in

@@ -136,6 +136,11 @@ let test_io_error_handling () =
       ("bogus 1 2", "unknown record");
       ("source 0 0\nsource 1 1\nsink 0 0 0 1", "duplicate source");
       ("sink 0 0 5 1", "lower above upper");
+      ("sink 1e400 0 0 inf", "coordinate overflows to inf");
+      ("sink nan 0 0 inf", "nan coordinate");
+      ("sink 0 -inf 0 1", "infinite coordinate");
+      ("source nan 0\nsink 0 0 0 1", "nan source coordinate");
+      ("sink 0 0 inf inf", "infinite lower bound");
     ]
   in
   List.iter
@@ -154,6 +159,8 @@ let test_io_error_handling () =
       ("nodes 3\nedge 1 0\nsink 1", "node 2 has no edge");
       ("nodes 2\nedge 1 0", "no sinks");
       ("nodes 2\nedge 5 0\nsink 1", "edge out of range");
+      (* must fail before allocating per-node arrays of that size *)
+      ("nodes 4611686018427387903\nedge 1 0\nsink 1", "huge nodes count");
     ]
 
 let test_file_roundtrip () =

@@ -51,6 +51,84 @@ let test_infeasible () =
   let sol = Solver.solve p in
   Alcotest.check status_testable "status" Status.Infeasible sol.status
 
+(* infeasibility the solver must find on its own: crossed bounds from two
+   singleton rows, parallel rows with disjoint ranges, and a row over a
+   fixed variable whose range excludes the fixed value *)
+let test_infeasible_shapes () =
+  let cases =
+    [
+      (fun p ->
+        let x = Problem.add_var p in
+        ignore (Problem.add_row p ~lo:5.0 ~up:infinity [ (x, 1.0) ]);
+        ignore (Problem.add_row p ~lo:neg_infinity ~up:2.0 [ (x, 1.0) ]));
+      (fun p ->
+        let x = Problem.add_var p in
+        let y = Problem.add_var p in
+        ignore (Problem.add_row p ~lo:1.0 ~up:2.0 [ (x, 1.0); (y, 1.0) ]);
+        ignore (Problem.add_row p ~lo:5.0 ~up:6.0 [ (x, 1.0); (y, 1.0) ]));
+      (fun p ->
+        let x = Problem.add_var ~lo:1.0 ~up:1.0 p in
+        ignore (Problem.add_row p ~lo:5.0 ~up:6.0 [ (x, 1.0) ]));
+    ]
+  in
+  List.iter
+    (fun build ->
+      let p = Problem.create () in
+      build p;
+      Alcotest.check status_testable "status" Status.Infeasible
+        (Solver.solve p).Status.status)
+    cases
+
+(* LP shapes a presolve pass would reduce away, solved as they stand by the
+   one engine: a fixed variable inside a row, a singleton range row, and
+   parallel rows.  They keep the names they had when a presolve pass
+   reduced them first. *)
+let test_fixed_variable_substitution () =
+  let p = Problem.create () in
+  let x = Problem.add_var ~lo:2.0 ~up:2.0 ~obj:3.0 p in
+  let y = Problem.add_var ~obj:1.0 p in
+  ignore (Problem.add_row p ~lo:5.0 ~up:infinity [ (x, 1.0); (y, 1.0) ]);
+  let sol = Solver.solve p in
+  Alcotest.check status_testable "status" Status.Optimal sol.status;
+  (* x fixed at 2, row needs y >= 3: objective 3*2 + 3 = 9 *)
+  check_float "objective" 9.0 sol.objective;
+  check_float "x" 2.0 sol.primal.(x);
+  check_float "y" 3.0 sol.primal.(y)
+
+let test_singleton_row_to_bound () =
+  let p = Problem.create () in
+  let x = Problem.add_var ~obj:1.0 p in
+  ignore (Problem.add_row p ~lo:4.0 ~up:10.0 [ (x, 2.0) ]);
+  let sol = Solver.solve p in
+  Alcotest.check status_testable "status" Status.Optimal sol.status;
+  check_float "x at the row's lower end" 2.0 sol.primal.(x)
+
+let test_duplicate_rows_merge () =
+  let p = Problem.create () in
+  let x = Problem.add_var ~obj:1.0 p in
+  let y = Problem.add_var ~obj:1.0 p in
+  ignore (Problem.add_row p ~lo:1.0 ~up:infinity [ (x, 1.0); (y, 1.0) ]);
+  ignore (Problem.add_row p ~lo:3.0 ~up:infinity [ (x, 1.0); (y, 1.0) ]);
+  ignore (Problem.add_row p ~lo:neg_infinity ~up:8.0 [ (x, 1.0); (y, 1.0) ]);
+  let sol = Solver.solve p in
+  Alcotest.check status_testable "status" Status.Optimal sol.status;
+  check_float "objective" 3.0 sol.objective
+
+let test_all_vars_fixed () =
+  let p = Problem.create () in
+  let x = Problem.add_var ~lo:1.0 ~up:1.0 ~obj:2.0 p in
+  let y = Problem.add_var ~lo:3.0 ~up:3.0 ~obj:1.0 p in
+  ignore (Problem.add_row p ~lo:0.0 ~up:10.0 [ (x, 1.0); (y, 1.0) ]);
+  let sol = Solver.solve p in
+  Alcotest.check status_testable "status" Status.Optimal sol.status;
+  check_float "objective" 5.0 sol.objective;
+  (* and an infeasible variant *)
+  let q = Problem.create () in
+  let a = Problem.add_var ~lo:1.0 ~up:1.0 q in
+  ignore (Problem.add_row q ~lo:5.0 ~up:10.0 [ (a, 1.0) ]);
+  Alcotest.check status_testable "infeasible" Status.Infeasible
+    (Solver.solve q).Status.status
+
 let test_unbounded () =
   let p = Problem.create () in
   let x = Problem.add_var ~obj:(-1.0) p in
@@ -206,6 +284,13 @@ let test_random_cross_check () =
     same_outcome id (random_problem rng)
   done
 
+(* a second stream with fixed variables mixed in (lo = up columns) *)
+let test_fixed_vars_cross_check () =
+  let rng = Prng.create 606 in
+  for id = 1 to 300 do
+    same_outcome id (Lp_gen.random_problem ~fixed_vars:true rng)
+  done
+
 (* Duality spot check: complementary slackness-free weak duality via the
    reported multipliers on a problem with >= rows. *)
 let test_dual_values () =
@@ -319,6 +404,17 @@ let () =
           Alcotest.test_case "free variable" `Quick test_free_var;
           Alcotest.test_case "fixed variable" `Quick test_fixed_var;
           Alcotest.test_case "degenerate" `Quick test_degenerate;
+          Alcotest.test_case "infeasible shapes" `Quick test_infeasible_shapes;
+          Alcotest.test_case "all variables fixed" `Quick test_all_vars_fixed;
+        ] );
+      ( "presolve",
+        [
+          Alcotest.test_case "fixed variable substitution" `Quick
+            test_fixed_variable_substitution;
+          Alcotest.test_case "singleton row to bound" `Quick
+            test_singleton_row_to_bound;
+          Alcotest.test_case "duplicate rows merge" `Quick
+            test_duplicate_rows_merge;
         ] );
       ( "incremental",
         [
@@ -339,5 +435,7 @@ let () =
             test_sparse_backend_incremental;
           Alcotest.test_case "parameter fuzz" `Slow test_param_fuzz;
           Alcotest.test_case "dual values" `Quick test_dual_values;
+          Alcotest.test_case "300 fixed-variable LPs vs tableau" `Slow
+            test_fixed_vars_cross_check;
         ] );
     ]

@@ -164,8 +164,8 @@ let test_ebf_warm_start_equivalence () =
         ~options:
           {
             Ebf.default_options with
-            Ebf.warm_start = warm;
-            lp_params = { Simplex.default_params with Simplex.warm_start = warm };
+            Ebf.lp_params =
+              { Simplex.default_params with Simplex.warm_start = warm };
           }
         inst tree
     in

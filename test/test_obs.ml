@@ -419,7 +419,7 @@ let test_ebf_round_spans () =
 (* bench diff: library verdicts                                        *)
 (* ------------------------------------------------------------------ *)
 
-let bench_file ?(schema = "lubt-bench/4") entries =
+let bench_file ?(schema = "lubt-bench/5") ?(counters = "") entries =
   Printf.sprintf
     "{\"schema\": \"%s\", \"size\": \"tiny\", \"jobs\": 1, \"cores\": 1, \
      \"benchmarks\": [%s]}"
@@ -429,8 +429,8 @@ let bench_file ?(schema = "lubt-bench/4") entries =
           (fun (name, ms, iters) ->
             Printf.sprintf
               "{\"name\": \"%s\", \"ms_per_run\": %g, \"solver\": \
-               {\"iterations\": %d, \"phase1_ms\": 1.0}}"
-              name ms iters)
+               {\"iterations\": %d%s}}"
+              name ms iters counters)
           entries))
 
 let test_diff_identical () =
@@ -490,6 +490,48 @@ let test_diff_improvement_and_missing () =
     (* losing a benchmark is a gate failure even though "a" improved *)
     Alcotest.(check bool) "lost coverage fails the gate" true
       (Bench_diff.has_regression r)
+
+(* a solver counter that vanishes from the new run is lost coverage, the
+   same as a lost benchmark: reported MISSING and failing the gate *)
+let test_diff_lost_counter () =
+  let old_f =
+    bench_file
+      ~counters:", \"btran_count\": 9, \"recoveries\": {\"tableau_fallbacks\": 0}"
+      [ ("a", 10.0, 5) ]
+  in
+  let new_f = bench_file [ ("a", 10.0, 5) ] in
+  match Bench_diff.compare old_f new_f with
+  | Error e -> Alcotest.fail e
+  | Ok r ->
+    (match r.Bench_diff.r_deltas with
+    | [ d ] ->
+      Alcotest.(check (list string)) "lost counters named"
+        [ "btran_count"; "recoveries.tableau_fallbacks" ]
+        d.Bench_diff.d_lost_counters;
+      Alcotest.(check (list (triple string (float 0.0) (float 0.0))))
+        "no drift among the kept ones" [] d.Bench_diff.d_counters
+    | ds -> Alcotest.failf "expected 1 delta, got %d" (List.length ds));
+    Alcotest.(check bool) "lost counter fails the gate" true
+      (Bench_diff.has_regression r);
+    let out = Filename.temp_file "lubt_diff" ".txt" in
+    Out_channel.with_open_text out (fun oc -> Bench_diff.print oc r);
+    let text = In_channel.with_open_text out In_channel.input_all in
+    Sys.remove out;
+    let contains needle =
+      let nh = String.length text and nn = String.length needle in
+      let rec go i =
+        i + nn <= nh && (String.sub text i nn = needle || go (i + 1))
+      in
+      go 0
+    in
+    Alcotest.(check bool) "printed as MISSING" true
+      (contains "btran_count                      MISSING from new run");
+    (* the reverse direction, a counter that appears, is not a loss *)
+    (match Bench_diff.compare new_f old_f with
+    | Ok r' ->
+      Alcotest.(check bool) "new counter is not a loss" false
+        (Bench_diff.has_regression r')
+    | Error e -> Alcotest.fail e)
 
 (* The degenerate-baseline cases the absolute-delta floor exists for: a
    zero or sub-microsecond old entry must not turn jitter into an
@@ -696,6 +738,7 @@ let () =
           Alcotest.test_case "null ms_per_run" `Quick test_diff_null_ms;
           Alcotest.test_case "rejects garbage" `Quick test_diff_rejects_garbage;
           Alcotest.test_case "exe exit codes" `Quick test_diff_exit_codes;
+          Alcotest.test_case "lost solver counter" `Quick test_diff_lost_counter;
         ] );
       ( "clock",
         [ Alcotest.test_case "monotone" `Quick test_clock_monotone ] );

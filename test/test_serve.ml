@@ -83,6 +83,16 @@ let test_bad_requests () =
     (code {|{"id": "x", "bench": "prim1s", "seed": 1e30}|});
   Alcotest.(check string) "negative skew" "bad_request"
     (code {|{"id": "x", "bench": "prim1s", "skew": -0.5}|});
+  (* non-finite coordinates are malformed input, not internal errors *)
+  Alcotest.(check string) "coordinate overflows to inf" "bad_request"
+    (code {|{"id": "x", "instance": "sink 1e400 0 0 inf\nsink 1 1 0 inf"}|});
+  Alcotest.(check string) "nan coordinate" "bad_request"
+    (code {|{"id": "x", "instance": "sink nan 0 0 inf\nsink 1 1 0 inf"}|});
+  (* a node count far past the edge records is refused before any
+     allocation sized by it *)
+  Alcotest.(check string) "huge topology nodes count" "bad_request"
+    (code
+       {|{"id": "x", "instance": "sink 0 0 0 inf\nsink 1 1 0 inf", "topology": "nodes 4611686018427387903\nedge 1 0\nsink 1"}|});
   (* the id still comes back on a bad request when the line parsed *)
   let r = respond {|{"id": "x", "op": "frobnicate"}|} in
   Alcotest.(check bool) "id echoed on bad request" true
@@ -253,7 +263,13 @@ let test_eco_malformed_edits () =
     ];
   Alcotest.(check string) "out-of-range sink applies as edit_failed"
     "edit_failed"
-    (code (eco {|[{"edit": "remove_sink", "sink": 99}]|}))
+    (code (eco {|[{"edit": "remove_sink", "sink": 99}]|}));
+  (* each move is finite, the chain overflows a coordinate to inf *)
+  Alcotest.(check string) "overflowing move chain applies as edit_failed"
+    "edit_failed"
+    (code
+       (eco
+          {|[{"edit": "move_sink", "sink": 0, "dx": 1e308, "dy": 0}, {"edit": "move_sink", "sink": 0, "dx": 1e308, "dy": 0}]|}))
 
 (* daemon restart over a --cache-dir disk tier: a brand-new in-memory
    cache over the same directory warm-starts from the persisted
